@@ -196,8 +196,8 @@ class BacktestResult:
             writer.writerow(["setting_a", "setting_b", "metric", "statistic", "p_value"])
             for a, b, metric, stat, p in self.dm_rows():
                 writer.writerow([a, b, metric,
-                                 "" if stat is None else repr(stat),
-                                 "" if p is None else repr(p)])
+                                 "" if stat is None else repr(float(stat)),
+                                 "" if p is None else repr(float(p))])
         skipped_rows = [(s, d.isoformat()) for s, ds in self.skipped.items() for d in ds]
         if skipped_rows:
             with open(os.path.join(out_dir, "skipped_days.csv"), "w", newline="",

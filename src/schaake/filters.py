@@ -6,6 +6,11 @@ estimated by Gaussian quasi-maximum likelihood, and a seasonal AR model
 estimated by conditional least squares.  Each fit yields conditional mean
 and standard deviation paths over the learning window, the standardized
 residuals, and a one-step-ahead (mu, sigma) forecast for the target day.
+
+The AR-GARCH likelihood computes the variance recursion with one linear
+filter call and its gradient with one more, run backwards (the adjoint
+method), and is minimized by L-BFGS-B.  A fit whose searches all fail to
+converge raises ``FitError``; the backtest skips that day.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, signal
 
 RAW = "raw"
 AR_GARCH = "argarch"
@@ -54,10 +59,6 @@ class ArGarchParams:
         if not abs(self.phi) < 1:
             raise ValueError("require |phi| < 1")
 
-    def as_dict(self):
-        return {"c": self.c, "phi": self.phi, "omega": self.omega,
-                "alpha": self.alpha, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class SarimaParams:
@@ -72,10 +73,6 @@ class SarimaParams:
             raise ValueError("require |phi1| < 1 and |seasonal_phi| < 1")
         if not self.sigma > 0:
             raise ValueError("require sigma > 0")
-
-    def as_dict(self):
-        return {"c": self.c, "phi1": self.phi1, "seasonal_phi": self.seasonal_phi,
-                "sigma": self.sigma, "seasonal_period": self.seasonal_period}
 
 
 @dataclass(frozen=True)
@@ -100,35 +97,63 @@ def standardize_next(eps_next: float, one_step) -> float:
 # AR(1)-GARCH(1,1) quasi-maximum likelihood
 # ---------------------------------------------------------------------------
 
-def _argarch_recursion(eps, c, phi, omega, alpha, beta):
+def _argarch_paths(eps, c, phi, omega, alpha, beta):
     """Mean residuals and conditional variance path.
 
     The first observation uses the unconditional mean c/(1-phi); the variance
-    recursion is seeded with the sample variance of the mean residuals.
-    Returns (e, h) with e the mean residuals and h the variance path.
+    recursion h_t = omega + alpha*e_{t-1}^2 + beta*h_{t-1} is seeded with the
+    sample variance of the mean residuals.  Returns (e, h) with e the n mean
+    residuals and h the n + 1 variances: the path, then the one-step forecast.
     """
     e = np.empty_like(eps)
     e[0] = eps[0] - c / (1.0 - phi)
     e[1:] = eps[1:] - c - phi * eps[:-1]
-    h0 = float(np.mean(e * e))
-    if h0 <= 0.0:
-        h0 = 1e-12
-    h = np.empty_like(eps)
-    h[0] = h0
-    # scalar loop: the recursion cannot be vectorized
-    e_list = e.tolist()
-    h_prev = h0
-    h_list = h.tolist()
-    for t in range(1, len(e_list)):
-        h_prev = omega + alpha * e_list[t - 1] * e_list[t - 1] + beta * h_prev
-        h_list[t] = h_prev
-    return e, np.asarray(h_list)
+    e2 = e * e
+    h0 = e2.sum() / eps.size
+    x = np.empty(eps.size + 1)
+    x[0] = h0 if h0 > 0.0 else 1e-12
+    x[1:] = omega + alpha * e2
+    return e, signal.lfilter([1.0], [1.0, -beta], x)
 
 
-def _argarch_negloglik(theta, eps):
+def _argarch_objective(theta, eps):
+    """Negative log-likelihood and its gradient with respect to ``theta``.
+
+    The gradient runs the variance recursion backwards (the adjoint):
+    lam_t = dL/dh_t + beta*lam_{t+1} is the total derivative of the
+    likelihood with respect to h_t, including its effect on later variances.
+    Points where the likelihood is not finite return (inf, 0).
+    """
     c, phi, omega, alpha, beta = _argarch_untransform(theta)
-    e, h = _argarch_recursion(eps, c, phi, omega, alpha, beta)
-    return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e * e / h))
+    n = eps.size
+    with np.errstate(all="ignore"):
+        e, h = _argarch_paths(eps, c, phi, omega, alpha, beta)
+        h = h[:-1]
+        e2 = e * e
+        u = e2 / h
+        nll = 0.5 * (n * math.log(2.0 * math.pi) + float(np.log(h).sum()) + float(u.sum()))
+        lam = signal.lfilter([1.0], [1.0, -beta], ((0.5 - 0.5 * u) / h)[::-1])[::-1]
+        lam_next = lam[1:]
+        d_omega = float(lam_next.sum())
+        d_alpha = float(np.dot(lam_next, e2[:-1]))
+        d_beta = float(np.dot(lam_next, h[:-1]))
+        # dL/de_t: directly, through h_{t+1}, and through h_0 = mean(e^2)
+        d_e = (1.0 / h + 2.0 * lam[0] / n) * e
+        d_e[:-1] += (2.0 * alpha) * lam_next * e[:-1]
+        d_c = -float(d_e[1:].sum()) - d_e[0] / (1.0 - phi)
+        d_phi = -float(np.dot(d_e[1:], eps[:-1])) - d_e[0] * c / (1.0 - phi) ** 2
+    # chain rule through _argarch_untransform
+    persistence, share = _sigmoid(theta[3]), _sigmoid(theta[4])
+    d_persistence = persistence * (1.0 - persistence) if persistence < 1.0 - 1e-8 else 0.0
+    persistence = min(persistence, 1.0 - 1e-8)
+    grad = [d_c,
+            d_phi * (1.0 - phi * phi),
+            d_omega * omega if abs(theta[2]) < 700.0 else 0.0,
+            (d_alpha * share + d_beta * (1.0 - share)) * d_persistence,
+            (d_alpha - d_beta) * persistence * share * (1.0 - share)]
+    if not all(map(math.isfinite, [nll, *grad])):
+        return math.inf, np.zeros(5)
+    return nll, np.array(grad)
 
 
 def _sigmoid(x):
@@ -164,11 +189,13 @@ def _argarch_untransform(theta):
 
 
 def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
-    """Fit AR(1)-GARCH(1,1) by Gaussian QMLE with a Nelder-Mead search.
+    """Fit AR(1)-GARCH(1,1) by Gaussian QMLE with L-BFGS-B.
 
     The search runs in a transformed unconstrained space so the stationarity
-    and positivity constraints hold by construction.  Up to 5 jittered
-    restarts are attempted on non-convergence.
+    and positivity constraints hold by construction, and uses the analytic
+    gradient of the likelihood.  It starts from moment estimates; up to 4
+    seeded, jittered restarts follow a search that does not converge.  Raises
+    ``FitError`` when all 5 searches fail to converge.
     """
     eps = np.asarray(eps, dtype=float)
     n = eps.size
@@ -190,9 +217,8 @@ def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
     start = theta0
     for attempt in range(5):
         res = optimize.minimize(
-            _argarch_negloglik, start, args=(eps,), method="Nelder-Mead",
-            options={"maxiter": 500, "fatol": 1e-8 * max(1.0, abs(_argarch_negloglik(start, eps))),
-                     "xatol": 1e-6},
+            _argarch_objective, start, args=(eps,), jac=True, method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8},
         )
         if best is None or res.fun < best.fun:
             best = res
@@ -201,8 +227,7 @@ def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
         scale = np.maximum(np.abs(best.x), 1.0)
         start = best.x + 0.1 * scale * rng.standard_normal(best.x.size)
     else:
-        if best is None or not np.isfinite(best.fun):
-            raise FitError("AR-GARCH QMLE did not converge after 5 restarts")
+        raise FitError(f"AR-GARCH QMLE did not converge after 5 attempts: {best.message}")
 
     c, phi, omega, alpha, beta = _argarch_untransform(best.x)
     try:
@@ -215,13 +240,12 @@ def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
 def argarch_output(eps: np.ndarray, params: ArGarchParams) -> FilterOutput:
     """Filtered paths and one-step forecast for given AR-GARCH parameters."""
     eps = np.asarray(eps, dtype=float)
-    e, h = _argarch_recursion(eps, params.c, params.phi, params.omega,
-                              params.alpha, params.beta)
+    e, h = _argarch_paths(eps, params.c, params.phi, params.omega,
+                          params.alpha, params.beta)
     sigma = np.sqrt(h)
-    mu = eps - e
     mu_next = params.c + params.phi * eps[-1]
-    h_next = params.omega + params.alpha * e[-1] ** 2 + params.beta * h[-1]
-    return FilterOutput(mu, sigma, e / sigma, (float(mu_next), float(math.sqrt(h_next))))
+    return FilterOutput(eps - e, sigma[:-1], e / sigma[:-1],
+                        (float(mu_next), float(sigma[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import json
 
@@ -181,6 +182,11 @@ def test_cli_backtest_and_evaluate(panel_csvs, tmp_path, capsys):
     for name in ("forecasts_Schaake-Raw.csv", "forecasts_I-Raw.csv",
                  "scores.csv", "rank_histograms.csv", "dm_tests.csv"):
         assert (out_dir / name).exists()
+    with open(out_dir / "dm_tests.csv", newline="", encoding="utf-8") as fh:
+        cells = [row[key] for row in csv.DictReader(fh) for key in ("statistic", "p_value")]
+    assert any(cells)
+    for cell in filter(None, cells):
+        float(cell)  # plain float repr, not "np.float64(...)"
 
     eval_dir = tmp_path / "eval"
     rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"),

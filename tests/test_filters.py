@@ -1,18 +1,46 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from _simulate import argarch_series, rng_for
+from schaake import filters
 from schaake.filters import (
     AR_GARCH,
     RAW,
     SARIMA,
+    ArGarchParams,
     FilterSpec,
     FitError,
+    argarch_output,
     fit_argarch,
     fit_filter,
     fit_sarima,
     standardize_next,
 )
+
+
+def reference_argarch_paths(eps, c, phi, omega, alpha, beta):
+    """Mean residuals and variance path by the scalar recursion."""
+    e = np.empty_like(eps)
+    e[0] = eps[0] - c / (1.0 - phi)
+    e[1:] = eps[1:] - c - phi * eps[:-1]
+    h = np.empty(eps.size + 1)
+    h[0] = max(float(np.mean(e * e)), 1e-12)
+    for t in range(1, eps.size + 1):
+        h[t] = omega + alpha * e[t - 1] ** 2 + beta * h[t - 1]
+    return e, h
+
+
+def reference_nll(eps, params):
+    e, h = reference_argarch_paths(eps, params.c, params.phi, params.omega,
+                                   params.alpha, params.beta)
+    h = h[:-1]
+    return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e * e / h))
 
 
 def sarima_series(n, c, phi1, sphi, sigma, s, seed, burn=300):
@@ -80,6 +108,89 @@ def test_argarch_scale_equivariance():
     _, out1 = fit_argarch(eps)
     _, out2 = fit_argarch(1000.0 * eps)
     assert np.max(np.abs(out1.z - out2.z)) <= 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.5, 1.5), st.floats(-3.0, 1.0),
+                       st.floats(-2.0, 4.0), st.floats(-3.0, 3.0)),
+       seed=st.integers(0, 2**16), n=st.integers(100, 400),
+       scale=st.floats(0.1, 10.0), garch=st.booleans())
+def test_argarch_objective_value_and_gradient(theta, seed, n, scale, garch):
+    if garch:
+        eps = scale * argarch_series(n, 0.1, 0.4, 0.1, 0.1, 0.8, seed=seed)
+    else:
+        eps = scale * rng_for(seed).standard_normal(n)
+    theta = np.array(theta)
+    nll, grad = filters._argarch_objective(theta, eps)
+    params = ArGarchParams(*filters._argarch_untransform(theta))
+    assert nll == pytest.approx(reference_nll(eps, params), rel=1e-12)
+    numeric = optimize.approx_fprime(
+        theta, lambda t: filters._argarch_objective(t, eps)[0], 1e-7)
+    assert np.linalg.norm(grad - numeric) <= 1e-4 * max(np.linalg.norm(numeric), 1.0)
+
+
+def test_argarch_output_matches_scalar_recursion():
+    eps = argarch_series(364, 0.2, 0.3, 0.1, 0.1, 0.8, seed=4)
+    params = ArGarchParams(0.1, 0.3, 0.2, 0.1, 0.85)
+    e, h = reference_argarch_paths(eps, 0.1, 0.3, 0.2, 0.1, 0.85)
+    out = argarch_output(eps, params)
+    np.testing.assert_allclose(out.sigma_hat, np.sqrt(h[:-1]), rtol=1e-12)
+    np.testing.assert_allclose(out.z, e / np.sqrt(h[:-1]), rtol=1e-12, atol=1e-14)
+    assert out.one_step[0] == pytest.approx(0.1 + 0.3 * eps[-1], rel=1e-12)
+    assert out.one_step[1] == pytest.approx(math.sqrt(h[-1]), rel=1e-12)
+
+
+def test_argarch_fit_improves_on_start_and_truth(monkeypatch):
+    eps = argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=11)
+    starts = []
+    minimize = optimize.minimize
+
+    def recording_minimize(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(filters.optimize, "minimize", recording_minimize)
+    params, _ = fit_argarch(eps)
+    fitted = reference_nll(eps, params)
+    assert fitted <= filters._argarch_objective(starts[0], eps)[0]
+    assert fitted <= reference_nll(eps, ArGarchParams(0.0, 0.3, 0.1, 0.1, 0.8))
+
+
+def test_argarch_refit_is_bit_identical():
+    eps = rng_for(13).standard_normal(364)
+    p1, out1 = fit_argarch(eps, seed=3)
+    p2, out2 = fit_argarch(eps, seed=3)
+    assert p1 == p2
+    for a, b in ((out1.mu_hat, out2.mu_hat), (out1.sigma_hat, out2.sigma_hat),
+                 (out1.z, out2.z)):
+        assert np.array_equal(a, b)
+    assert out1.one_step == out2.one_step
+
+
+def test_argarch_fails_loudly_without_convergence(monkeypatch):
+    calls = []
+
+    def failing_minimize(fun, x0, args=(), **kwargs):
+        calls.append(x0)
+        return optimize.OptimizeResult(x=np.array(x0), fun=fun(x0, *args)[0],
+                                       success=False, message="forced failure")
+
+    monkeypatch.setattr(filters.optimize, "minimize", failing_minimize)
+    with pytest.raises(FitError, match="did not converge"):
+        fit_argarch(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1))
+    assert len(calls) == 5
+
+
+def test_argarch_fit_emits_no_numeric_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # omega = exp(-700) and alpha = beta = 0: e^2/h overflows
+        nll, grad = filters._argarch_objective(np.array([0.0, 0.0, -700.0, -800.0, 0.0]),
+                                               rng_for(1).standard_normal(364))
+        assert nll == math.inf and not np.any(grad)
+        for seed in range(12):
+            window = 3.0 * rng_for(400 + seed).standard_normal(364)
+            fit_argarch(window, seed=seed)
 
 
 def test_argarch_rejects_short_or_constant_input():
