@@ -28,7 +28,7 @@ from .forecast import (
 )
 from .loadprofile import LoadProfile, daily_price, scenario_daily_prices
 from .margins import MarginModel, pit, quantile
-from .panel import ErrorPanel, HourlyPanel, PanelError, compute_errors, load_panel, save_panel
+from .panel import HourlyPanel, PanelError, compute_errors, load_panel, save_panel
 from .scoring import (
     ScorePanel,
     average_rank,
@@ -37,6 +37,7 @@ from .scoring import (
     energy_score,
     interval_coverage,
     rank_histogram,
+    score_forecasts,
     verification_rank,
 )
 
@@ -44,7 +45,6 @@ __all__ = [
     "BacktestConfig",
     "BacktestResult",
     "EnsembleForecast",
-    "ErrorPanel",
     "FilterSpec",
     "FitError",
     "HourlyPanel",
@@ -73,6 +73,7 @@ __all__ = [
     "sample_gaussian_rank_matrix",
     "save_panel",
     "scenario_daily_prices",
+    "score_forecasts",
     "shuffle",
     "verification_rank",
 ]

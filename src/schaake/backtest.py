@@ -1,15 +1,17 @@
 """Rolling-window backtest driver.
 
 For every evaluation day and setting the driver (1) fits the setting's error
-filter on the trailing error window, (2) builds per-hour margins from the
-most recent standardized residuals and PITs the dependence window through
-them, (3) constructs the quantile ensembles and pairs them by rank matrix or
-independent permutation, and (4) scores the result against realizations.
-Windows roll forward one day at a time.
+filter on the trailing error window, (2) builds the margins of all 24 hours
+from the most recent standardized residuals and PITs the dependence window
+through them, and (3) constructs the (m, 24) quantile ensemble matrix and
+pairs its rows by rank matrix or independent permutation.  Windows roll
+forward one day at a time.  The collected forecasts are then (4) scored
+against realizations by :func:`scoring.score_forecasts`, the same function
+``schaake evaluate`` uses.
 
-Settings sharing a filter and margin kind reuse the same fitted margins and
-univariate ensembles, so their per-hour CRPS panels agree bitwise by
-construction.
+A Schaake setting and its independence counterpart reorder the same sorted
+ensembles, and the CRPS sorts each hour's members before scoring them, so
+their per-hour CRPS panels agree bitwise.
 """
 from __future__ import annotations
 
@@ -130,8 +132,7 @@ class BacktestResult:
     diagnostics: list = field(default_factory=list)
 
     def setting_dates(self, setting: str) -> tuple:
-        skipped = set(self.skipped.get(setting, ()))
-        return tuple(d for d in self.dates if d not in skipped)
+        return self.scores[setting].dates
 
     def dm_rows(self) -> list:
         """Pairwise DM tests on daily ES and daily mean CRPS.
@@ -245,43 +246,32 @@ def _fit_block_filters(errors, t0: int, cfg: BacktestConfig, diagnostics):
     return fitted
 
 
-def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig,
-                      fitted, realized=None):
-    """Forecasts (and scores when ``realized`` is given) for one target day.
+def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitted):
+    """Forecasts for one target day.
 
-    Returns {setting: dict or None}; None marks a day skipped because the
-    setting's filter failed to fit.
+    Returns {setting: EnsembleForecast or None}; None marks a day skipped
+    because the setting's filter failed to fit.
     """
     m = cfg.m
     results: dict = {name: None for name in cfg.settings}
     window = errors[t - cfg.error_window:t]
-    filter_outputs: dict = {}
+    paths: dict = {}  # spec -> (z (n, 24), (mu (24,), sigma (24,)))
     for (spec, margin_kind), names in _margin_groups(cfg).items():
         params = fitted[spec]
         if params is None:
             continue
-        if spec not in filter_outputs:
-            filter_outputs[spec] = [filters.filter_output(window[:, h], spec, params[h])
-                                    for h in range(N_HOURS)]
-        margins, ensembles, pit_cols = [], [], []
-        for h in range(N_HOURS):
-            out = filter_outputs[spec][h]
-            z = out.z
-            if margin_kind == "empirical":
-                margin = MarginModel.empirical(z[-cfg.margin_window:])
-            else:
-                margin = MarginModel.gaussian()
-            margins.append(margin)
-            pit_cols.append(pit(margin, z[-cfg.dependence_window:]))
-            ensembles.append(forecast.make_univariate_ensemble(
-                fc_values[t, h], out.one_step, margin, m))
-        pits = np.column_stack(pit_cols)
-        members = np.column_stack(ensembles)
-
-        crps = None
-        if realized is not None:
-            crps = np.array([scoring.crps_ensemble(members[:, h], realized[t, h])
-                             for h in range(N_HOURS)])
+        if spec not in paths:
+            outs = [filters.filter_output(window[:, h], spec, params[h])
+                    for h in range(N_HOURS)]
+            paths[spec] = (np.column_stack([out.z for out in outs]),
+                           tuple(np.array([out.one_step for out in outs]).T))
+        z, one_step = paths[spec]
+        if margin_kind == "empirical":
+            margin = MarginModel.empirical(z[-cfg.margin_window:])
+        else:
+            margin = MarginModel.gaussian()
+        pits = pit(margin, z[-cfg.dependence_window:])
+        members = forecast.make_univariate_ensemble(fc_values[t], one_step, margin, m)
 
         rank_matrix = None
         sigma = None
@@ -290,34 +280,26 @@ def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig,
             if dep == SHUFFLE:
                 if rank_matrix is None:
                     rank_matrix = copula.empirical_rank_matrix(pits)
-                fc_day = forecast.shuffle(ensembles, rank_matrix, date=date)
+                results[name] = forecast.shuffle(members, rank_matrix, date=date)
             elif dep == GAUSSIAN_COPULA:
                 if sigma is None:
                     sigma = copula.fit_gaussian_copula(pits)
                 ranks = copula.sample_gaussian_rank_matrix(
                     sigma, m, derive_seed(cfg.seed, date, name, "copula-sample"))
-                fc_day = forecast.shuffle(ensembles, ranks, date=date)
+                results[name] = forecast.shuffle(members, ranks, date=date)
             else:
-                fc_day = forecast.independence_forecast(
-                    ensembles, derive_seed(cfg.seed, date, name, "independence"), date=date)
-            entry = {"forecast": fc_day}
-            if realized is not None:
-                entry["es"] = scoring.energy_score(fc_day.members, realized[t])
-                entry["crps"] = crps
-                entry["ranks"] = np.array([scoring.verification_rank(members[:, h], realized[t, h])
-                                           for h in range(N_HOURS)])
-            results[name] = entry
+                results[name] = forecast.independence_forecast(
+                    members, derive_seed(cfg.seed, date, name, "independence"), date=date)
     return results
 
 
 def _run_block(args):
-    errors, fc_values, realized, dates, day_indices, cfg = args
+    errors, fc_values, dates, day_indices, cfg = args
     diagnostics: list = []
     fitted = _fit_block_filters(errors, day_indices[0], cfg, diagnostics)
     out = []
     for t in day_indices:
-        out.append((dates[t], _forecast_one_day(errors, fc_values, t, dates[t],
-                                                cfg, fitted, realized=realized)))
+        out.append((dates[t], _forecast_one_day(errors, fc_values, t, dates[t], cfg, fitted)))
     return out, diagnostics
 
 
@@ -348,7 +330,7 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
 
     blocks = [eval_idx[i:i + cfg.refit_every]
               for i in range(0, len(eval_idx), cfg.refit_every)]
-    tasks = [(errors, fc.values, real.values, dates, block, cfg) for block in blocks]
+    tasks = [(errors, fc.values, dates, block, cfg) for block in blocks]
 
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -365,31 +347,20 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
         warnings.warn(message, stacklevel=2)
 
     forecasts: dict = {name: [] for name in cfg.settings}
-    es: dict = {name: [] for name in cfg.settings}
-    crps: dict = {name: [] for name in cfg.settings}
-    ranks: dict = {name: [] for name in cfg.settings}
-    kept_dates: dict = {name: [] for name in cfg.settings}
     skipped: dict = {name: [] for name in cfg.settings}
     for date, per_setting in day_results:
-        for name in cfg.settings:
-            entry = per_setting[name]
-            if entry is None:
+        for name, fc_day in per_setting.items():
+            if fc_day is None:
                 skipped[name].append(date)
-                continue
-            forecasts[name].append(entry["forecast"])
-            es[name].append(entry["es"])
-            crps[name].append(entry["crps"])
-            ranks[name].append(entry["ranks"])
-            kept_dates[name].append(date)
+            else:
+                forecasts[name].append(fc_day)
 
-    scores = {name: scoring.ScorePanel(tuple(kept_dates[name]),
-                                       np.array(es[name], dtype=float),
-                                       np.array(crps[name], dtype=float))
-              for name in cfg.settings if kept_dates[name]}
-    rank_arrays = {name: np.array(ranks[name], dtype=int)
-                   for name in cfg.settings if kept_dates[name]}
+    scores, ranks = {}, {}
+    for name, fcs in forecasts.items():
+        if fcs:
+            scores[name], ranks[name] = scoring.score_forecasts(fcs, real)
     return BacktestResult(dates=tuple(dates[t] for t in eval_idx), m=cfg.m,
-                          forecasts=forecasts, scores=scores, ranks=rank_arrays,
+                          forecasts=forecasts, scores=scores, ranks=ranks,
                           skipped={k: v for k, v in skipped.items() if v},
                           diagnostics=diagnostics)
 
@@ -419,6 +390,5 @@ TOY_RANK_MATRIX = np.array([
 
 def run_toy_example() -> forecast.EnsembleForecast:
     """Shuffle the built-in four-hour example into its joint forecast."""
-    ensembles = [TOY_QUANTILES[h] for h in range(TOY_QUANTILES.shape[0])]
-    return forecast.shuffle(ensembles, TOY_RANK_MATRIX,
+    return forecast.shuffle(TOY_QUANTILES.T, TOY_RANK_MATRIX,
                             date=datetime.date(2020, 1, 1))

@@ -100,37 +100,23 @@ def _cmd_toy_example(args) -> int:
     return 0
 
 
-def _score_forecasts(fcs, real):
-    date_index = {d: i for i, d in enumerate(real.dates)}
-    dates, es, crps, ranks = [], [], [], []
-    for fc in fcs:
-        if fc.date not in date_index:
-            raise PanelError(f"no realization for forecast date {fc.date}")
-        y = real.values[date_index[fc.date]]
-        dates.append(fc.date)
-        es.append(scoring.energy_score(fc.members, y))
-        crps.append([scoring.crps_ensemble(fc.members[:, h], y[h])
-                     for h in range(fc.members.shape[1])])
-        ranks.append([scoring.verification_rank(fc.members[:, h], y[h])
-                      for h in range(fc.members.shape[1])])
-    panel = scoring.ScorePanel(tuple(dates), np.array(es), np.array(crps))
-    return panel, np.array(ranks, dtype=int)
-
-
 def _cmd_evaluate(args) -> int:
     real = load_panel(args.real, role="realization")
-    scores, rank_arrays, forecasts, m = {}, {}, {}, None
+    scores, rank_arrays, m = {}, {}, None
     for path in args.forecasts:
         fcs = forecast.read_forecasts_csv(path)
         if not fcs:
             raise PanelError(f"{path}: no forecasts")
-        label = _setting_label(path)
-        scores[label], rank_arrays[label] = _score_forecasts(fcs, real)
-        forecasts[label] = fcs
+        if m is not None and fcs[0].m != m:
+            raise PanelError(f"{path}: {fcs[0].m} members per day, earlier files have {m}")
         m = fcs[0].m
-    result = bt.BacktestResult(dates=tuple(scores[next(iter(scores))].dates), m=m,
-                               forecasts={}, scores=scores, ranks=rank_arrays, skipped={})
-    # reuse the backtest writers, minus the (unmodified) forecast CSVs
+        label = _setting_label(path)
+        scores[label], rank_arrays[label] = scoring.score_forecasts(fcs, real)
+    dates = tuple(sorted(set().union(*(panel.dates for panel in scores.values()))))
+    result = bt.BacktestResult(dates=dates, m=m, forecasts={}, scores=scores,
+                               ranks=rank_arrays, skipped={})
+    # reuse the backtest writers, minus the (unmodified) forecast CSVs; DM tests
+    # pair each two files on the dates both cover
     result.write_outputs(args.out_dir)
     for name, panel in scores.items():
         print(f"{name}: mean ES {panel.mean_es:.4f}, mean CRPS {panel.mean_crps:.4f}")
@@ -146,14 +132,14 @@ def _read_ensembles_csv(path):
         values = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise PanelError(f"{path}: bad ensemble value: {exc}") from None
-    return [values[:, h] for h in range(values.shape[1])]
+    return values
 
 
 def _cmd_shuffle(args) -> int:
-    ensembles = _read_ensembles_csv(args.ensembles)
+    members = _read_ensembles_csv(args.ensembles)
     ranks = copula.read_rank_matrix_csv(args.rank_matrix)
     import datetime
-    fc = forecast.shuffle(ensembles, ranks, date=datetime.date.today())
+    fc = forecast.shuffle(members, ranks, date=datetime.date.today())
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"h{h + 1}" for h in range(fc.members.shape[1])])

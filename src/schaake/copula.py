@@ -12,8 +12,7 @@ import csv
 
 import numpy as np
 from scipy import stats
-
-from .margins import norm_ppf
+from scipy.special import ndtri
 
 _EIG_FLOOR = 1e-8
 
@@ -36,24 +35,20 @@ def is_rank_matrix(ranks: np.ndarray) -> bool:
     ranks = np.asarray(ranks)
     if ranks.ndim != 2:
         return False
-    m = ranks.shape[0]
-    expected = np.arange(1, m + 1)
-    return all(np.array_equal(np.sort(ranks[:, h]), expected)
-               for h in range(ranks.shape[1]))
+    expected = np.arange(1, ranks.shape[0] + 1)[:, None]
+    return bool(np.all(np.sort(ranks, axis=0) == expected))
 
 
-def _ordinal_ranks(column: np.ndarray) -> np.ndarray:
-    # stable ordinal ranks: ties go to the earlier day
-    order = np.argsort(column, kind="stable")
-    ranks = np.empty(column.size, dtype=np.int64)
-    ranks[order] = np.arange(1, column.size + 1)
-    return ranks
+def _ordinal_ranks(x: np.ndarray) -> np.ndarray:
+    # stable ordinal ranks down each column: ties go to the earlier day; the
+    # second argsort inverts the sorting permutation
+    return np.argsort(np.argsort(x, axis=0, kind="stable"), axis=0) + 1
 
 
 def empirical_rank_matrix(pits: np.ndarray) -> np.ndarray:
     """Column-wise ranks of the PIT history (1 = smallest, stable ties)."""
     pits = check_pit_history(pits)
-    return np.column_stack([_ordinal_ranks(pits[:, h]) for h in range(pits.shape[1])])
+    return _ordinal_ranks(pits)
 
 
 def empirical_copula(ranks: np.ndarray, indices) -> float:
@@ -131,8 +126,8 @@ def sample_gaussian_rank_matrix(sigma: np.ndarray, m: int, seed: int) -> np.ndar
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random((m, sigma.shape[0]))
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    draws = norm_ppf(u) @ root.T
-    return np.column_stack([_ordinal_ranks(draws[:, h]) for h in range(draws.shape[1])])
+    draws = ndtri(u) @ root.T
+    return _ordinal_ranks(draws)
 
 
 def write_rank_matrix_csv(ranks: np.ndarray, path) -> None:

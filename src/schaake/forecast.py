@@ -16,6 +16,7 @@ import numpy as np
 
 from .copula import CopulaError, is_rank_matrix
 from .margins import MarginModel, quantile
+from .panel import PanelError, parse_cell
 
 
 @dataclass(frozen=True)
@@ -39,39 +40,46 @@ class EnsembleForecast:
         return self.members.shape[0]
 
 
-def make_univariate_ensemble(point_fc: float, one_step, margin: MarginModel,
+def make_univariate_ensemble(point_fc, one_step, margin: MarginModel,
                              m: int) -> np.ndarray:
-    """m-member quantile ensemble for one hour, sorted ascending.
+    """m-member quantile ensembles, sorted ascending along axis 0.
 
-    Member i is (point forecast + mu) + F^{-1}(i/(m+1)) * sigma, with (mu,
-    sigma) the filter's one-step forecast and F the margin.  The raw variant
-    corresponds to (mu, sigma) = (0, 1).
+    Member i of hour h is (point_fc[h] + mu[h]) + F_h^{-1}(i/(m+1)) * sigma[h],
+    with (mu, sigma) the filter's one-step forecast and F_h hour h's margin.
+    Scalars and an (n,) margin give an (m,) ensemble; (H,) inputs give the
+    (m, H) member matrix.  The raw variant has (mu, sigma) = (0, 1).
     """
-    mu, sigma = one_step
-    if not sigma > 0:
+    point_fc = np.asarray(point_fc, dtype=float)
+    mu, sigma = (np.asarray(v, dtype=float) for v in one_step)
+    if not np.all(sigma > 0):
         raise ValueError(f"one-step sigma must be positive, got {sigma}")
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
-    if not np.isfinite(point_fc):
+    if not np.all(np.isfinite(point_fc)):
         raise ValueError("point forecast must be finite")
-    levels = np.arange(1, m + 1) / (m + 1)
+    hours = np.broadcast_shapes(point_fc.shape, mu.shape, sigma.shape, margin.hours)
+    # levels run down axis 0 only, never along the hour axis, even when m == H
+    levels = (np.arange(1, m + 1) / (m + 1)).reshape((m,) + (1,) * len(hours))
     return (point_fc + mu) + quantile(margin, levels) * sigma
 
 
-def _stack_sorted(ensembles) -> np.ndarray:
-    members = np.column_stack([np.asarray(e, dtype=float) for e in ensembles])
+def _check_sorted(members) -> np.ndarray:
+    members = np.asarray(members, dtype=float)
+    if members.ndim != 2:
+        raise ValueError("ensembles must be an m x H matrix, one column per hour")
     if np.any(np.diff(members, axis=0) < 0):
         raise ValueError("univariate ensembles must be sorted ascending")
     return members
 
 
-def shuffle(ensembles, rank_matrix: np.ndarray, date=None) -> EnsembleForecast:
-    """Reorder sorted hourly ensembles by a rank matrix.
+def shuffle(members, rank_matrix: np.ndarray, date=None) -> EnsembleForecast:
+    """Reorder an m x H matrix of sorted hourly ensembles by a rank matrix.
 
-    Scenario row t, hour h is the rank_matrix[t, h]-th smallest member of
-    hour h's ensemble, so every column keeps its marginal member multiset.
+    Column h of ``members`` is hour h's ensemble, ascending.  Scenario row t,
+    hour h is the rank_matrix[t, h]-th smallest member of hour h, so every
+    column keeps its marginal member multiset.
     """
-    members = _stack_sorted(ensembles)
+    members = _check_sorted(members)
     rank_matrix = np.asarray(rank_matrix)
     if rank_matrix.shape != members.shape:
         raise CopulaError(
@@ -83,9 +91,9 @@ def shuffle(ensembles, rank_matrix: np.ndarray, date=None) -> EnsembleForecast:
     return EnsembleForecast(date, paired)
 
 
-def independence_forecast(ensembles, seed: int, date=None) -> EnsembleForecast:
-    """Pair hourly ensembles by independent seeded random permutations."""
-    members = _stack_sorted(ensembles)
+def independence_forecast(members, seed: int, date=None) -> EnsembleForecast:
+    """Pair the columns of a sorted m x H ensemble by seeded random permutations."""
+    members = _check_sorted(members)
     m, n_hours = members.shape
     rng = np.random.Generator(np.random.Philox(seed))
     ranks = np.column_stack([rng.permutation(m) + 1 for _ in range(n_hours)])
@@ -106,21 +114,46 @@ def write_forecasts_csv(forecasts, path) -> None:
                                 + [repr(float(v)) for v in fc.members[i]])
 
 
+def _floats(cells) -> list:
+    return [float(v) for v in cells]
+
+
 def read_forecasts_csv(path) -> list:
-    """Parse a forecasts CSV written by :func:`write_forecasts_csv`."""
-    by_date: dict = {}
+    """Parse a forecasts CSV written by :func:`write_forecasts_csv`.
+
+    Every day must hold members 1..m with one m for all days; malformed rows
+    and days raise :class:`PanelError` naming ``path:line`` (of a day's first row).
+    """
+    by_date: dict = {}  # date -> {member: (line, values)}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[:2] != ["date", "member"]:
-            raise ValueError(f"{path}: expected header 'date,member,h1..'")
-        for row in reader:
+        if header is None or header[:2] != ["date", "member"] or len(header) < 3:
+            raise PanelError(f"{path}:1: expected header 'date,member,h1..'")
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            date = datetime.date.fromisoformat(row[0])
-            by_date.setdefault(date, []).append((int(row[1]), [float(v) for v in row[2:]]))
-    out = []
+            if len(row) != len(header):
+                raise PanelError(f"{path}:{lineno}: expected {len(header)} columns, "
+                                 f"got {len(row)}")
+            date = parse_cell(datetime.date.fromisoformat, row[0], "date", path, lineno)
+            member = parse_cell(int, row[1], "member", path, lineno)
+            values = parse_cell(_floats, row[2:], "values", path, lineno)
+            day = by_date.setdefault(date, {})
+            if member in day:
+                raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
+            day[member] = (lineno, values)
+    out, m = [], None
     for date in sorted(by_date):
-        rows = sorted(by_date[date])
-        out.append(EnsembleForecast(date, np.array([r[1] for r in rows])))
+        day = by_date[date]
+        m = m or len(day)
+        if len(day) != m or min(day) != 1 or max(day) != m:
+            first = min(line for line, _ in day.values())
+            raise PanelError(f"{path}:{first}: {date} holds {len(day)} members "
+                             f"numbered {min(day)}..{max(day)}, expected 1..{m}")
+        members = np.array([day[k][1] for k in range(1, m + 1)])
+        finite = np.isfinite(members).all(axis=1)
+        if not finite.all():
+            raise PanelError(f"{path}:{day[int(np.argmin(finite)) + 1][0]}: non-finite value")
+        out.append(EnsembleForecast(date, members))
     return out

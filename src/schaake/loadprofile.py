@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import EnsembleForecast
-from .panel import N_HOURS
+from .panel import N_HOURS, PanelError, parse_cell
 
 # Synthetic, illustrative commercial-style profile (kW per normalized
 # consumer): low overnight, plateau across working hours.  Not measured
@@ -61,24 +61,32 @@ def scenario_daily_prices(fc: EnsembleForecast, profile: LoadProfile) -> np.ndar
 
 
 def load_profile_csv(path) -> LoadProfile:
-    """Parse a profile CSV with header ``hour,weight`` and 24 rows."""
+    """Parse a profile CSV with header ``hour,weight`` and 24 rows.
+
+    Malformed rows raise :class:`PanelError` naming ``path:line``.
+    """
     weights = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["hour", "weight"]:
-            raise ValueError(f"{path}: expected header 'hour,weight'")
-        for row in reader:
+            raise PanelError(f"{path}:1: expected header 'hour,weight'")
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            hour, weight = int(row[0]), float(row[1])
+            if len(row) != 2:
+                raise PanelError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+            hour = parse_cell(int, row[0], "hour", path, lineno)
+            weight = parse_cell(float, row[1], "weight", path, lineno)
+            if not (np.isfinite(weight) and weight >= 0.0):
+                raise PanelError(f"{path}:{lineno}: weight must be finite and >= 0, got {row[1]!r}")
             if not 1 <= hour <= N_HOURS:
-                raise ValueError(f"{path}: hour {hour} outside 1..{N_HOURS}")
+                raise PanelError(f"{path}:{lineno}: hour {hour} outside 1..{N_HOURS}")
             if hour in weights:
-                raise ValueError(f"{path}: duplicate hour {hour}")
+                raise PanelError(f"{path}:{lineno}: duplicate hour {hour}")
             weights[hour] = weight
     if len(weights) != N_HOURS:
-        raise ValueError(f"{path}: expected {N_HOURS} hours, got {len(weights)}")
+        raise PanelError(f"{path}: expected {N_HOURS} hours, got {len(weights)}")
     return LoadProfile(np.array([weights[h] for h in range(1, N_HOURS + 1)]))
 
 

@@ -9,71 +9,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 EMPIRICAL = "empirical"
 GAUSSIAN = "gaussian"
 
-# Rational approximation coefficients for the inverse standard normal CDF
-# (Acklam's algorithm, |relative error| < 1.15e-9 before refinement).
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_PPF_LOW, _PPF_HIGH = 0.02425, 1.0 - 0.02425
-
-
-def norm_cdf(z):
-    """Standard normal CDF."""
-    return ndtr(z)
-
-
-def norm_ppf(p):
-    """Inverse standard normal CDF.
-
-    Rational approximation refined by one Newton step on the CDF; accurate to
-    well below 1e-9 and deterministic across platforms.
-    """
-    scalar = np.ndim(p) == 0
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("quantile level must lie strictly in (0, 1)")
-    x = np.empty_like(p)
-
-    lo = p < _PPF_LOW
-    hi = p > _PPF_HIGH
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5]
-        den = ((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0
-        x[mid] = q * num / den
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        num = ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q + _PPF_C[5]
-        den = (((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0
-        x[lo] = num / den
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        num = ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q + _PPF_C[5]
-        den = (((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0
-        x[hi] = -num / den
-
-    # one Newton step: x -= (Phi(x) - p) / phi(x)
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    x = x - (ndtr(x) - p) / pdf
-    return float(x[0]) if scalar else x
-
 
 @dataclass(frozen=True)
 class MarginModel:
-    """Distribution of one hour's standardized residuals."""
+    """Distribution of standardized residuals, one per hour column.
+
+    An empirical ``sample`` is (n,) for one hour or (n, H) for H hours and is
+    stored sorted along axis 0.
+    """
 
     kind: str
     sample: np.ndarray | None = None
@@ -84,9 +32,9 @@ class MarginModel:
         if self.kind == EMPIRICAL:
             if self.sample is None:
                 raise ValueError("empirical margin requires a sample")
-            sample = np.sort(np.asarray(self.sample, dtype=float))
-            if sample.size < 1 or not np.all(np.isfinite(sample)):
-                raise ValueError("empirical sample must be non-empty and finite")
+            sample = np.sort(np.asarray(self.sample, dtype=float), axis=0)
+            if sample.ndim not in (1, 2) or sample.size < 1 or not np.all(np.isfinite(sample)):
+                raise ValueError("empirical sample must be a non-empty finite (n,) or (n, H)")
             sample.setflags(write=False)
             object.__setattr__(self, "sample", sample)
         elif self.sample is not None:
@@ -102,15 +50,22 @@ class MarginModel:
 
     @property
     def n(self) -> int:
-        return 0 if self.sample is None else self.sample.size
+        return 0 if self.sample is None else self.sample.shape[0]
+
+    @property
+    def hours(self) -> tuple:
+        """Trailing hour shape of the sample: () or (H,); () for the Gaussian."""
+        return () if self.sample is None else self.sample.shape[1:]
 
 
 def pit(model: MarginModel, z):
     """Quantile level of ``z`` under the margin; vectorized over ``z``.
 
-    Empirical margins use rank/(n+1) with rank = 1 + #{sample < z}, capped at
-    n so levels stay strictly inside (0, 1).  Tied values share the lower
-    rank.  Gaussian margins apply the standard normal CDF.
+    ``z`` broadcasts against the margin's hour shape: an (n, H) margin takes
+    (k, H) values.  Empirical margins use rank/(n+1) with rank = 1 +
+    #{sample < z}, capped at n so levels stay strictly inside (0, 1); the
+    count holds n booleans per value.  Tied values share the lower rank.
+    Gaussian margins apply the standard normal CDF.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -118,7 +73,10 @@ def pit(model: MarginModel, z):
     if model.kind == GAUSSIAN:
         u = ndtr(z)
     else:
-        rank = np.searchsorted(model.sample, z, side="left") + 1
+        hours = model.hours
+        lead = len(np.broadcast_shapes(z.shape, hours)) - len(hours)
+        sample = model.sample.reshape((model.n,) + (1,) * lead + hours)
+        rank = 1 + np.count_nonzero(sample < z, axis=0)
         u = np.minimum(rank, model.n) / (model.n + 1)
     return u if u.ndim else float(u)
 
@@ -126,7 +84,9 @@ def pit(model: MarginModel, z):
 def quantile(model: MarginModel, p):
     """Generalized inverse CDF of the margin at level(s) ``p`` in (0, 1).
 
-    For the empirical margin this is the smallest sample value s with
+    ``p`` broadcasts against the margin's hour shape: for an (n, H) margin,
+    levels of shape (k, 1) give the (k, H) quantiles of every hour.  For the
+    empirical margin this is the smallest sample value s with
     #{sample <= s}/n >= p; at p = i/(n+1) it is exactly the i-th order
     statistic.
     """
@@ -134,7 +94,8 @@ def quantile(model: MarginModel, p):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile level must lie strictly in (0, 1)")
     if model.kind == GAUSSIAN:
-        return norm_ppf(p)
-    idx = np.ceil(model.n * p).astype(int) - 1
-    q = model.sample[np.clip(idx, 0, model.n - 1)]
-    return q if q.ndim else float(q)
+        q = ndtri(p)
+    else:
+        idx = np.clip(np.ceil(model.n * p).astype(int) - 1, 0, model.n - 1)
+        q = model.sample[(idx, *map(np.arange, model.hours))]
+    return q if np.ndim(q) else float(q)

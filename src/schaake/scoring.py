@@ -9,8 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.special import ndtr
 from scipy.stats import chi2
+
+from .panel import PanelError
 
 AVG_RANK_BINS = 10
 
@@ -52,21 +55,26 @@ class ScorePanel:
         return self.crps.mean(axis=1)
 
 
-def crps_ensemble(members, y: float) -> float:
-    """CRPS of an m-member ensemble against a scalar outcome.
+def crps_ensemble(members, y):
+    """CRPS of (m,) members against a scalar, or per column of (m, H) against (H,).
 
-    Computes (1/m) sum|x_k - y| - (1/(2 m^2)) sum sum|x_l - x_k| using the
-    sorted-sample identity for the pairwise term.
+    Computes (1/m) sum|x_k - y| - (1/(2 m^2)) sum sum|x_l - x_k| along axis 0
+    using the sorted-sample identity for the pairwise term, so the value
+    depends only on each column's member multiset, not on the row order.
     """
     members = np.asarray(members, dtype=float)
-    if members.ndim != 1 or members.size < 1:
-        raise ValueError("ensemble must be a non-empty vector")
-    m = members.size
-    x = np.sort(members)
-    dist = float(np.mean(np.abs(x - y)))
+    y = np.asarray(y, dtype=float)
+    if members.ndim not in (1, 2) or members.shape[0] < 1:
+        raise ValueError("ensemble must be a non-empty (m,) or (m, H) array")
+    if y.shape != members.shape[1:]:
+        raise ValueError(f"outcome shape {y.shape} does not match {members.shape[1:]}")
+    m = members.shape[0]
+    x = np.sort(members, axis=0)
+    dist = np.mean(np.abs(x - y), axis=0)
     # sum_{l,k} |x_l - x_k| = 2 * sum_k (2k - 1 - m) x_(k)
-    spread = 2.0 * float(np.dot(2.0 * np.arange(1, m + 1) - 1.0 - m, x))
-    return dist - spread / (2.0 * m * m)
+    spread = 2.0 * ((2.0 * np.arange(1, m + 1) - 1.0 - m) @ x)
+    crps = dist - spread / (2.0 * m * m)
+    return crps if crps.ndim else float(crps)
 
 
 def energy_score(members, y) -> float:
@@ -79,8 +87,8 @@ def energy_score(members, y) -> float:
         raise ValueError(f"outcome shape {y.shape} does not match d={members.shape[1]}")
     m = members.shape[0]
     dist = float(np.mean(np.linalg.norm(members - y, axis=1)))
-    pair = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
-    return dist - float(pair.sum()) / (2.0 * m * m)
+    # pdist lists each unordered pair once: half the full double sum
+    return dist - float(pdist(members).sum()) / (m * m)
 
 
 def dm_test(s1, s2):
@@ -102,19 +110,36 @@ def dm_test(s1, s2):
     return stat, float(2.0 * ndtr(-abs(stat)))
 
 
-def verification_rank(members, y: float) -> int:
-    """Rank of the realization in the merged sample, 1 + #{members < y}."""
+def verification_rank(members, y):
+    """Rank of the realization in the merged sample, 1 + #{members < y}.
+
+    Counts along axis 0, so (m, H) members and (H,) outcomes give (H,) ranks.
+    """
     members = np.asarray(members, dtype=float)
-    if members.size < 1:
-        raise ValueError("ensemble must be non-empty")
-    return int(1 + np.count_nonzero(members < y))
+    if members.ndim not in (1, 2) or members.shape[0] < 1:
+        raise ValueError("ensemble must be a non-empty (m,) or (m, H) array")
+    if np.shape(y) != members.shape[1:]:
+        raise ValueError(f"outcome shape {np.shape(y)} does not match {members.shape[1:]}")
+    rank = 1 + np.count_nonzero(members < y, axis=0)
+    return rank if np.ndim(rank) else int(rank)
 
 
-def verification_ranks(members, y) -> np.ndarray:
-    """Vectorized verification ranks: members (T, m), y (T,)."""
-    members = np.asarray(members, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return 1 + np.count_nonzero(members < y[:, None], axis=1)
+def score_forecasts(forecasts, real):
+    """ScorePanel and (T, H) verification ranks of forecasts against ``real``.
+
+    The backtest and ``schaake evaluate`` both score through this function.
+    """
+    row = {d: i for i, d in enumerate(real.dates)}
+    es, crps, ranks = [], [], []
+    for fc in forecasts:
+        if fc.date not in row:
+            raise PanelError(f"no realization for forecast date {fc.date}")
+        y = real.values[row[fc.date]]
+        es.append(energy_score(fc.members, y))
+        crps.append(crps_ensemble(fc.members, y))
+        ranks.append(verification_rank(fc.members, y))
+    panel = ScorePanel(tuple(fc.date for fc in forecasts), np.array(es), np.array(crps))
+    return panel, np.array(ranks, dtype=int)
 
 
 def average_rank(ranks) -> float:

@@ -15,7 +15,8 @@ from schaake.backtest import (
     run_toy_example,
 )
 from schaake.filters import SARIMA, FilterSpec
-from schaake.panel import save_panel
+from schaake.panel import load_panel, save_panel
+from schaake.scoring import dm_test
 
 # joint forecast implied by the worked-example quantiles and rank matrix
 TOY_OUTPUT = np.array([
@@ -205,6 +206,67 @@ def test_cli_backtest_and_evaluate(panel_csvs, tmp_path, capsys):
     header, row = slp_out.read_text().strip().splitlines()
     assert header.split(",")[:3] == ["setting", "nominal", "coverage"]
     assert 0.0 <= float(row.split(",")[2]) <= 1.0
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _keep_forecast_rows(src, dst, keep):
+    """Copy a forecasts CSV, keeping the header and the rows ``keep(date, member)`` accepts."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0]] + [r for r in rows[1:] if keep(r[0], int(r[1]))])
+
+
+@pytest.mark.parametrize("short_first", [False, True])
+def test_cli_evaluate_aligns_files_on_dates(panel_csvs, tmp_path, capsys, short_first):
+    out_dir = tmp_path / "out"
+    cfg = small_config(settings=("Schaake-Raw", "I-Raw"), seed=3)
+    run_backtest(load_panel(panel_csvs / "real.csv"), load_panel(panel_csvs / "fc.csv"),
+                 cfg).write_outputs(out_dir)
+    full = out_dir / "forecasts_Schaake-Raw.csv"
+    short = tmp_path / "forecasts_I-Raw.csv"
+    late = sorted({row[0] for row in _rows(full)})[-3:]
+    _keep_forecast_rows(out_dir / "forecasts_I-Raw.csv", short, lambda d, k: d in late)
+    files = [short, full] if short_first else [full, short]
+
+    eval_dir = tmp_path / "eval"
+    args = ["evaluate", "--real", str(panel_csvs / "real.csv"), "--out-dir", str(eval_dir)]
+    for path in files:
+        args += ["--forecasts", str(path)]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    backtest_scores = {(r[0], r[1]): r for r in _rows(out_dir / "scores.csv")}
+    eval_scores = _rows(eval_dir / "scores.csv")
+    assert len(eval_scores) == len(backtest_scores) - 3
+    for row in eval_scores:
+        assert row == backtest_scores[(row[0], row[1])]
+
+    a, b = ["I-Raw", "Schaake-Raw"] if short_first else ["Schaake-Raw", "I-Raw"]
+    es = {(d, s): float(v) for d, s, v, _ in backtest_scores.values()}
+    stat, p = dm_test([es[(d, a)] for d in late], [es[(d, b)] for d in late])
+    dm = {row[2]: row[3:] for row in _rows(eval_dir / "dm_tests.csv")}
+    assert dm["es"] == [repr(float(stat)), repr(float(p))]
+    assert dm["crps"] == ["", ""]  # the two files share margins on the common dates
+
+
+def test_cli_evaluate_rejects_mixed_member_counts(panel_csvs, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = small_config(settings=("Schaake-Raw",), seed=3)
+    run_backtest(load_panel(panel_csvs / "real.csv"), load_panel(panel_csvs / "fc.csv"),
+                 cfg).write_outputs(out_dir)
+    full = out_dir / "forecasts_Schaake-Raw.csv"
+    fewer = tmp_path / "forecasts_fewer.csv"
+    _keep_forecast_rows(full, fewer, lambda d, k: k <= 20)
+    rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"),
+                   "--forecasts", str(full), "--forecasts", str(fewer),
+                   "--out-dir", str(tmp_path / "eval")])
+    assert rc == 2
+    assert "forecasts_fewer.csv: 20 members per day, earlier files have 40" in \
+        capsys.readouterr().err
 
 
 def test_cli_toy_example(capsys):

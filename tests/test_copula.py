@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from _simulate import equicorrelated_normals, rng_for
 from schaake.backtest import TOY_RANK_MATRIX
@@ -15,7 +16,6 @@ from schaake.copula import (
     sample_gaussian_rank_matrix,
     write_rank_matrix_csv,
 )
-from schaake.margins import norm_cdf
 
 
 def test_single_column_ranks():
@@ -74,7 +74,7 @@ def test_gaussian_fit_comonotone_pair():
 
 def test_gaussian_fit_recovers_equicorrelation():
     z = equicorrelated_normals(5000, rho=0.7, seed=6)
-    sigma = fit_gaussian_copula(norm_cdf(z))
+    sigma = fit_gaussian_copula(ndtr(z))
     off = sigma[~np.eye(24, dtype=bool)]
     assert np.max(np.abs(off - 0.7)) < 0.05
 
@@ -109,7 +109,7 @@ def test_sampling_comonotone_degenerate():
 
 
 def test_sampling_is_deterministic():
-    sigma = fit_gaussian_copula(norm_cdf(equicorrelated_normals(200, 0.5, seed=13)))
+    sigma = fit_gaussian_copula(ndtr(equicorrelated_normals(200, 0.5, seed=13)))
     a = sample_gaussian_rank_matrix(sigma, 90, seed=99)
     b = sample_gaussian_rank_matrix(sigma, 90, seed=99)
     assert np.array_equal(a, b)

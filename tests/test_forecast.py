@@ -15,8 +15,9 @@ from schaake.forecast import (
     write_forecasts_csv,
 )
 from schaake.margins import MarginModel
+from schaake.panel import PanelError
 
-TOY_ENSEMBLES = [TOY_QUANTILES[h] for h in range(4)]
+TOY_ENSEMBLES = TOY_QUANTILES.T
 
 
 def test_univariate_ensemble_empirical():
@@ -62,27 +63,27 @@ def test_shuffle_toy_example_rows():
 
 def test_shuffle_identity_permutation():
     m = 5
-    ensembles = [np.sort(rng_for(h).standard_normal(m)) for h in range(3)]
+    ensembles = np.column_stack([np.sort(rng_for(h).standard_normal(m)) for h in range(3)])
     identity = np.tile(np.arange(1, m + 1)[:, None], (1, 3))
     fc = shuffle(ensembles, identity)
-    for h in range(3):
-        assert np.array_equal(fc.members[:, h], ensembles[h])
+    assert np.array_equal(fc.members, ensembles)
 
 
 def test_shuffle_preserves_marginals():
     rng = rng_for(2)
     m = 30
-    ensembles = [np.sort(rng.standard_normal(m)) for _ in range(6)]
+    ensembles = np.column_stack([np.sort(rng.standard_normal(m)) for _ in range(6)])
     ranks = empirical_rank_matrix(rng.uniform(0.01, 0.99, size=(m, 6)))
     fc = shuffle(ensembles, ranks)
     for h in range(6):
-        assert np.array_equal(np.sort(fc.members[:, h]), ensembles[h])
+        assert np.array_equal(np.sort(fc.members[:, h]), ensembles[:, h])
 
 
 def test_shuffle_rank_preservation():
     rng = rng_for(3)
     m = 40
-    ensembles = [np.sort(rng.standard_normal(m)) for _ in range(4)]  # distinct a.s.
+    # distinct a.s.
+    ensembles = np.column_stack([np.sort(rng.standard_normal(m)) for _ in range(4)])
     ranks = empirical_rank_matrix(rng.uniform(0.01, 0.99, size=(m, 4)))
     fc = shuffle(ensembles, ranks)
     recovered = np.column_stack(
@@ -109,13 +110,12 @@ def test_shuffle_dimension_checks():
 
 
 def test_independence_single_member_matches_shuffle():
-    ensembles = [np.array([1.0]), np.array([2.0])]
-    fc = independence_forecast(ensembles, seed=5)
+    fc = independence_forecast([[1.0, 2.0]], seed=5)
     assert np.array_equal(fc.members, [[1.0, 2.0]])
 
 
 def test_independence_is_deterministic():
-    ensembles = [np.sort(rng_for(6).standard_normal(10)) for _ in range(4)]
+    ensembles = np.column_stack([np.sort(rng_for(6).standard_normal(10)) for _ in range(4)])
     a = independence_forecast(ensembles, seed=77)
     b = independence_forecast(ensembles, seed=77)
     assert np.array_equal(a.members, b.members)
@@ -123,7 +123,7 @@ def test_independence_is_deterministic():
 
 def test_independence_decorrelates():
     m = 90
-    ensembles = [np.arange(1.0, m + 1) for _ in range(24)]
+    ensembles = np.tile(np.arange(1.0, m + 1)[:, None], (1, 24))
     total, count = 0.0, 0
     for seed in range(2000):
         fc = independence_forecast(ensembles, seed=seed)
@@ -145,3 +145,26 @@ def test_forecast_csv_roundtrip(tmp_path):
     assert [f.date for f in again] == [f.date for f in fcs]
     for a, b in zip(again, fcs):
         assert np.array_equal(a.members, b.members)
+
+
+DAY1 = ["2020-01-01,1,1.0,2.0", "2020-01-01,2,3.0,4.0"]
+
+
+@pytest.mark.parametrize("lines, match", [
+    (["date,hour,h1,h2"] + DAY1, r":1: expected header"),
+    (["date,member,h1,h2", "2020-02-30,1,1.0,2.0"], r":2: bad date '2020-02-30'"),
+    (["date,member,h1,h2", "2020-01-01,first,1.0,2.0"], r":2: bad member 'first'"),
+    (["date,member,h1,h2", "2020-01-01,1,1.0,x"], r":2: bad values \['1\.0', 'x'\]"),
+    (["date,member,h1,h2"] + DAY1[:1] + ["2020-01-01,2,inf,4.0"], r":3: non-finite value"),
+    (["date,member,h1,h2"] + DAY1[:1] + ["2020-01-01,2,3.0"], r":3: expected 4 columns, got 3"),
+    (["date,member,h1,h2"] + DAY1 + ["2020-01-01,2,5.0,6.0"], r":4: duplicate member 2"),
+    (["date,member,h1,h2"] + DAY1[:1] + ["2020-01-01,3,3.0,4.0"],
+     r":2: 2020-01-01 holds 2 members numbered 1\.\.3, expected 1\.\.2"),
+    (["date,member,h1,h2"] + DAY1 + ["2020-01-02,1,1.0,2.0"],
+     r":4: 2020-01-02 holds 1 members numbered 1\.\.1, expected 1\.\.2"),
+])
+def test_read_forecasts_csv_rejects_malformed_rows(tmp_path, lines, match):
+    path = tmp_path / "fc.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PanelError, match=r"fc\.csv" + match):
+        read_forecasts_csv(path)

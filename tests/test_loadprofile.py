@@ -14,6 +14,7 @@ from schaake.loadprofile import (
     scenario_daily_prices,
     write_profile_csv,
 )
+from schaake.panel import PanelError
 
 
 def test_uniform_profile_averages():
@@ -61,7 +62,7 @@ def test_toy_example_row_prices_under_uniform_profile():
 
 def test_comonotone_scenarios_give_sorted_prices():
     m = 15
-    ensembles = [np.sort(rng_for(3).uniform(0, 100, m)) for _ in range(24)]
+    ensembles = np.column_stack([np.sort(rng_for(3).uniform(0, 100, m)) for _ in range(24)])
     identity = np.tile(np.arange(1, m + 1)[:, None], (1, 24))
     fc = shuffle(ensembles, identity)
     prices = scenario_daily_prices(fc, default_profile())
@@ -76,7 +77,7 @@ def test_comonotone_price_spread_dominates_independence():
     wins = 0
     for seed in range(40):
         rng = rng_for(1000 + seed)
-        ensembles = [np.sort(rng.standard_normal(m)) for _ in range(24)]
+        ensembles = np.column_stack([np.sort(rng.standard_normal(m)) for _ in range(24)])
         var_com = scenario_daily_prices(shuffle(ensembles, identity), profile).var()
         var_ind = scenario_daily_prices(
             independence_forecast(ensembles, seed=seed), profile).var()
@@ -96,6 +97,26 @@ def test_profile_csv_rejects_missing_hours(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("hour,weight\n1,0.5\n2,0.5\n")
     with pytest.raises(ValueError, match="24"):
+        load_profile_csv(path)
+
+
+GOOD_PROFILE_ROWS = [f"{h},{1.0 / 24!r}" for h in range(1, 25)]
+
+
+@pytest.mark.parametrize("lines, match", [
+    (["hour,price"] + GOOD_PROFILE_ROWS, r":1: expected header"),
+    (["hour,weight", "first,0.5"] + GOOD_PROFILE_ROWS, r":2: bad hour 'first'"),
+    (["hour,weight", "1,heavy"] + GOOD_PROFILE_ROWS, r":2: bad weight 'heavy'"),
+    (["hour,weight", "1,nan"] + GOOD_PROFILE_ROWS, r":2: weight must be .*, got 'nan'"),
+    (["hour,weight", "1,-0.5"] + GOOD_PROFILE_ROWS, r":2: weight must be .*, got '-0\.5'"),
+    (["hour,weight", "1,0.5,7"] + GOOD_PROFILE_ROWS, r":2: expected 2 columns, got 3"),
+    (["hour,weight", "25,0.5"] + GOOD_PROFILE_ROWS, r":2: hour 25 outside 1\.\.24"),
+    (["hour,weight"] + GOOD_PROFILE_ROWS + ["3,0.1"], r":26: duplicate hour 3"),
+])
+def test_profile_csv_rejects_malformed_rows(tmp_path, lines, match):
+    path = tmp_path / "profile.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PanelError, match=r"profile\.csv" + match):
         load_profile_csv(path)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from schaake.panel import (
     N_HOURS,
-    ErrorPanel,
     HourlyPanel,
     PanelError,
     compute_errors,
@@ -112,7 +111,6 @@ def test_compute_errors_identity_and_arithmetic():
     real = HourlyPanel(dates, values + 0.3)
     fc = HourlyPanel(dates, values)
     errs = compute_errors(real, fc)
-    assert isinstance(errs, ErrorPanel)
     assert errs.values == pytest.approx(np.full((1, N_HOURS), 0.3))
     assert np.all(compute_errors(fc, fc).values == 0.0)
 

@@ -13,7 +13,6 @@ from schaake.scoring import (
     rank_histogram,
     uniformity_check,
     verification_rank,
-    verification_ranks,
 )
 
 
@@ -160,12 +159,13 @@ def test_verification_rank_ties_go_above():
 
 
 def test_verification_ranks_vectorized():
+    # 40 columns of 30 members each, ranked along axis 0 in one call
     rng = rng_for(9)
-    members = rng.standard_normal((40, 30))
+    members = rng.standard_normal((30, 40))
     y = rng.standard_normal(40)
-    vec = verification_ranks(members, y)
+    vec = verification_rank(members, y)
     for t in range(40):
-        assert vec[t] == verification_rank(members[t], y[t])
+        assert vec[t] == verification_rank(members[:, t], y[t])
 
 
 def test_average_rank():
