@@ -19,6 +19,7 @@ import concurrent.futures
 import datetime
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import copula, filters, forecast, scoring
 from .margins import MarginModel, pit
-from .panel import N_HOURS, HourlyPanel, PanelError, compute_errors
+from .panel import N_HOURS, HourlyPanel, PanelError, compute_errors, write_rows
 
 SHUFFLE = "shuffle"
 GAUSSIAN_COPULA = "gaussian"
@@ -41,9 +42,6 @@ SETTING_TABLE = {
     "I-P": (filters.AR_GARCH, "gaussian", INDEPENDENCE),
     "I-Raw": (filters.RAW, "empirical", INDEPENDENCE),
 }
-
-# independence counterpart sharing each Schaake setting's margins
-PAIRED_SETTINGS = {"Schaake-NP": "I-NP", "Schaake-P": "I-P", "Schaake-Raw": "I-Raw"}
 
 
 class ConfigError(ValueError):
@@ -167,45 +165,29 @@ class BacktestResult:
         return per_hour, avg
 
     def write_outputs(self, out_dir) -> None:
-        import csv
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         for setting, fcs in self.forecasts.items():
             forecast.write_forecasts_csv(fcs, os.path.join(out_dir, f"forecasts_{setting}.csv"))
-        with open(os.path.join(out_dir, "scores.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "setting", "es", "crps_mean"])
-            for setting, panel in self.scores.items():
-                for i, date in enumerate(panel.dates):
-                    writer.writerow([date.isoformat(), setting,
-                                     repr(float(panel.es[i])),
-                                     repr(float(panel.daily_crps[i]))])
-        with open(os.path.join(out_dir, "rank_histograms.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["setting", "hour", "bin", "count"])
-            for setting in self.ranks:
-                per_hour, avg = self.rank_histograms(setting)
-                for h, hist in enumerate(per_hour, start=1):
-                    for b, count in enumerate(hist.counts, start=1):
-                        writer.writerow([setting, h, b, int(count)])
-                for b, count in enumerate(avg.counts, start=1):
-                    writer.writerow([setting, "avg", b, int(count)])
-        with open(os.path.join(out_dir, "dm_tests.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["setting_a", "setting_b", "metric", "statistic", "p_value"])
-            for a, b, metric, stat, p in self.dm_rows():
-                writer.writerow([a, b, metric,
-                                 "" if stat is None else repr(float(stat)),
-                                 "" if p is None else repr(float(p))])
+        write_rows(os.path.join(out_dir, "scores.csv"), ["date", "setting", "es", "crps_mean"],
+                   ([date.isoformat(), setting, es, crps]
+                    for setting, panel in self.scores.items()
+                    for date, es, crps in zip(panel.dates, panel.es.tolist(),
+                                              panel.daily_crps.tolist())))
+        write_rows(os.path.join(out_dir, "rank_histograms.csv"),
+                   ["setting", "hour", "bin", "count"], self._histogram_rows())
+        write_rows(os.path.join(out_dir, "dm_tests.csv"),
+                   ["setting_a", "setting_b", "metric", "statistic", "p_value"], self.dm_rows())
         skipped_rows = [(s, d.isoformat()) for s, ds in self.skipped.items() for d in ds]
         if skipped_rows:
-            with open(os.path.join(out_dir, "skipped_days.csv"), "w", newline="",
-                      encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["setting", "date"])
-                writer.writerows(skipped_rows)
+            write_rows(os.path.join(out_dir, "skipped_days.csv"), ["setting", "date"],
+                       skipped_rows)
+
+    def _histogram_rows(self):
+        for setting in self.ranks:
+            per_hour, avg = self.rank_histograms(setting)
+            for hour, hist in [*enumerate(per_hour, start=1), ("avg", avg)]:
+                for b, count in enumerate(hist.counts.tolist(), start=1):
+                    yield setting, hour, b, count
 
 
 # ---------------------------------------------------------------------------

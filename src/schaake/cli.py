@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import backtest as bt
 from . import copula, filters, forecast, loadprofile, scoring
-from .panel import PanelError, load_panel
+from .panel import PanelError, hour_names, load_panel, read_matrix_csv, write_rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,10 +92,9 @@ def _cmd_toy_example(args) -> int:
     fc = bt.run_toy_example()
     if args.out:
         forecast.write_forecasts_csv([fc], args.out)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["draw"] + [f"h{h + 1}" for h in range(fc.members.shape[1])])
-    for i, row in enumerate(fc.members, start=1):
-        writer.writerow([i] + [f"{v:g}" for v in row])
+    write_rows(None, ["draw"] + hour_names(fc.members.shape[1]),
+               ([i] + [f"{v:g}" for v in row]
+                for i, row in enumerate(fc.members.tolist(), start=1)))
     return 0
 
 
@@ -123,27 +121,12 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_ensembles_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise PanelError(f"{path}: need a header and at least one member row")
-    try:
-        values = np.array([[float(v) for v in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise PanelError(f"{path}: bad ensemble value: {exc}") from None
-    return values
-
-
 def _cmd_shuffle(args) -> int:
-    members = _read_ensembles_csv(args.ensembles)
+    members = read_matrix_csv(args.ensembles)
     ranks = copula.read_rank_matrix_csv(args.rank_matrix)
     import datetime
     fc = forecast.shuffle(members, ranks, date=datetime.date.today())
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"h{h + 1}" for h in range(fc.members.shape[1])])
-        writer.writerows([repr(float(v)) for v in row] for row in fc.members)
+    write_rows(args.out, hour_names(fc.members.shape[1]), fc.members.tolist())
     return 0
 
 
@@ -163,15 +146,8 @@ def _cmd_slp(args) -> int:
             realized.append(loadprofile.daily_price(real.values[date_index[fc.date]], profile))
         coverage = scoring.interval_coverage(np.array(samples), np.array(realized),
                                              args.nominal)
-        rows.append([_setting_label(path), repr(args.nominal), repr(coverage), len(fcs)])
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["setting", "nominal", "coverage", "days"])
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+        rows.append([_setting_label(path), args.nominal, coverage, len(fcs)])
+    write_rows(args.out or None, ["setting", "nominal", "coverage", "days"], rows)
     return 0
 
 

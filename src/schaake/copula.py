@@ -8,11 +8,11 @@ and ranks a fresh sample from it.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from scipy import stats
 from scipy.special import ndtri
+
+from .panel import read_matrix_csv
 
 _EIG_FLOOR = 1e-8
 
@@ -74,10 +74,8 @@ def fit_gaussian_copula(pits: np.ndarray) -> np.ndarray:
     pits = check_pit_history(pits)
     if np.any(np.ptp(pits, axis=0) == 0.0):
         raise CopulaError("degenerate PIT column (all values equal)")
-    rho = stats.spearmanr(pits).statistic
-    if pits.shape[1] == 2:
-        rho = np.array([[1.0, rho], [rho, 1.0]])
-    sigma = 2.0 * np.sin(np.pi * np.asarray(rho) / 6.0)
+    rho = np.corrcoef(stats.rankdata(pits, axis=0), rowvar=False)
+    sigma = 2.0 * np.sin(np.pi * rho / 6.0)
     np.fill_diagonal(sigma, 1.0)
     return _nearest_correlation(sigma)
 
@@ -130,22 +128,9 @@ def sample_gaussian_rank_matrix(sigma: np.ndarray, m: int, seed: int) -> np.ndar
     return _ordinal_ranks(draws)
 
 
-def write_rank_matrix_csv(ranks: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"h{h + 1}" for h in range(ranks.shape[1])])
-        writer.writerows(ranks.tolist())
-
-
 def read_rank_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise CopulaError(f"{path}: empty rank matrix file")
-    try:
-        ranks = np.array([[int(x) for x in row] for row in rows[1:]], dtype=np.int64)
-    except ValueError as exc:
-        raise CopulaError(f"{path}: non-integer rank entry: {exc}") from None
+    """Rank matrix of a CSV with header ``h1..hH``, read by :func:`panel.read_matrix_csv`."""
+    ranks = read_matrix_csv(path)
     if not is_rank_matrix(ranks):
         raise CopulaError(f"{path}: columns are not permutations of 1..m")
-    return ranks
+    return ranks.astype(np.int64)

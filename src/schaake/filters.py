@@ -85,14 +85,6 @@ class FilterOutput:
     one_step: tuple  # (mu, sigma) for the target day
 
 
-def standardize_next(eps_next: float, one_step) -> float:
-    """Standardize a new error with a one-step (mu, sigma) forecast."""
-    mu, sigma = one_step
-    if not sigma > 0:
-        raise ValueError(f"one-step sigma must be positive, got {sigma}")
-    return (eps_next - mu) / sigma
-
-
 # ---------------------------------------------------------------------------
 # AR(1)-GARCH(1,1) quasi-maximum likelihood
 # ---------------------------------------------------------------------------

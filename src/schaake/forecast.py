@@ -8,7 +8,6 @@ pairs them through random permutations instead.
 """
 from __future__ import annotations
 
-import csv
 import datetime
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .copula import CopulaError, is_rank_matrix
 from .margins import MarginModel, quantile
-from .panel import PanelError, parse_cell
+from .panel import N_HOURS, PanelError, hour_names, parse_cell, read_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,12 @@ def independence_forecast(members, seed: int, date=None) -> EnsembleForecast:
 
 
 def write_forecasts_csv(forecasts, path) -> None:
-    """Serialize forecasts to CSV with columns ``date,member,h1..h24``."""
+    """Serialize forecasts to CSV with columns ``date,member,h1..hH`` (H = 24 if none)."""
     forecasts = list(forecasts)
-    n_hours = forecasts[0].members.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "member"] + [f"h{h + 1}" for h in range(n_hours)])
-        for fc in forecasts:
-            for i in range(fc.m):
-                writer.writerow([fc.date.isoformat(), i + 1]
-                                + [repr(float(v)) for v in fc.members[i]])
+    n_hours = forecasts[0].members.shape[1] if forecasts else N_HOURS
+    write_rows(path, ["date", "member"] + hour_names(n_hours),
+               ([fc.date.isoformat(), i] + row
+                for fc in forecasts for i, row in enumerate(fc.members.tolist(), start=1)))
 
 
 def _floats(cells) -> list:
@@ -125,24 +120,14 @@ def read_forecasts_csv(path) -> list:
     and days raise :class:`PanelError` naming ``path:line`` (of a day's first row).
     """
     by_date: dict = {}  # date -> {member: (line, values)}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["date", "member"] or len(header) < 3:
-            raise PanelError(f"{path}:1: expected header 'date,member,h1..'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise PanelError(f"{path}:{lineno}: expected {len(header)} columns, "
-                                 f"got {len(row)}")
-            date = parse_cell(datetime.date.fromisoformat, row[0], "date", path, lineno)
-            member = parse_cell(int, row[1], "member", path, lineno)
-            values = parse_cell(_floats, row[2:], "values", path, lineno)
-            day = by_date.setdefault(date, {})
-            if member in day:
-                raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
-            day[member] = (lineno, values)
+    for lineno, row in read_rows(path, ("date", "member"), hourly=True):
+        date = parse_cell(datetime.date.fromisoformat, row[0], "date", path, lineno)
+        member = parse_cell(int, row[1], "member", path, lineno)
+        values = parse_cell(_floats, row[2:], "values", path, lineno)
+        day = by_date.setdefault(date, {})
+        if member in day:
+            raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
+        day[member] = (lineno, values)
     out, m = [], None
     for date in sorted(by_date):
         day = by_date[date]

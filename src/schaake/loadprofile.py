@@ -1,13 +1,12 @@
 """Load-profile price aggregation: weighted daily sums of hourly prices."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forecast import EnsembleForecast
-from .panel import N_HOURS, PanelError, parse_cell
+from .panel import N_HOURS, PanelError, parse_cell, read_rows
 
 # Synthetic, illustrative commercial-style profile (kW per normalized
 # consumer): low overnight, plateau across working hours.  Not measured
@@ -34,8 +33,8 @@ class LoadProfile:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
             raise ValueError("weights must be a non-empty vector")
-        if np.any(weights < 0) or not np.any(weights > 0):
-            raise ValueError("weights must be nonnegative with at least one positive")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or not np.any(weights > 0):
+            raise ValueError("weights must be finite and nonnegative with at least one positive")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
@@ -66,33 +65,17 @@ def load_profile_csv(path) -> LoadProfile:
     Malformed rows raise :class:`PanelError` naming ``path:line``.
     """
     weights = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["hour", "weight"]:
-            raise PanelError(f"{path}:1: expected header 'hour,weight'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise PanelError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            hour = parse_cell(int, row[0], "hour", path, lineno)
-            weight = parse_cell(float, row[1], "weight", path, lineno)
-            if not (np.isfinite(weight) and weight >= 0.0):
-                raise PanelError(f"{path}:{lineno}: weight must be finite and >= 0, got {row[1]!r}")
-            if not 1 <= hour <= N_HOURS:
-                raise PanelError(f"{path}:{lineno}: hour {hour} outside 1..{N_HOURS}")
-            if hour in weights:
-                raise PanelError(f"{path}:{lineno}: duplicate hour {hour}")
-            weights[hour] = weight
+    for lineno, row in read_rows(path, ("hour", "weight")):
+        hour = parse_cell(int, row[0], "hour", path, lineno)
+        weight = parse_cell(float, row[1], "weight", path, lineno)
+        if not (np.isfinite(weight) and weight >= 0.0):
+            raise PanelError(f"{path}:{lineno}: weight must be finite and >= 0, got {row[1]!r}")
+        if not 1 <= hour <= N_HOURS:
+            raise PanelError(f"{path}:{lineno}: hour {hour} outside 1..{N_HOURS}")
+        if hour in weights:
+            raise PanelError(f"{path}:{lineno}: duplicate hour {hour}")
+        weights[hour] = weight
     if len(weights) != N_HOURS:
         raise PanelError(f"{path}: expected {N_HOURS} hours, got {len(weights)}")
     return LoadProfile(np.array([weights[h] for h in range(1, N_HOURS + 1)]))
 
-
-def write_profile_csv(profile: LoadProfile, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "weight"])
-        for h in range(N_HOURS):
-            writer.writerow([h + 1, repr(float(profile.weights[h]))])

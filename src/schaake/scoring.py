@@ -6,6 +6,7 @@ chi-square uniformity check, and central prediction-interval coverage.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ def dm_test(s1, s2):
     sd = float(np.std(delta, ddof=1))
     if sd == 0.0:
         raise DegenerateScoreDifference("score differences have zero variance")
-    stat = float(np.mean(delta)) / (sd / np.sqrt(delta.size))
+    stat = float(np.mean(delta)) / (sd / math.sqrt(delta.size))
     return stat, float(2.0 * ndtr(-abs(stat)))
 
 

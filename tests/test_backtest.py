@@ -1,11 +1,13 @@
 import csv
 import datetime
 import json
+import re
 
 import numpy as np
 import pytest
 
 from _simulate import iid_error_panels
+from test_copula import BAD_MATRIX_FILES
 from schaake import cli
 from schaake.backtest import (
     BacktestConfig,
@@ -208,6 +210,26 @@ def test_cli_backtest_and_evaluate(panel_csvs, tmp_path, capsys):
     assert 0.0 <= float(row.split(",")[2]) <= 1.0
 
 
+def test_cli_backtest_writes_setting_whose_every_day_was_skipped(panel_csvs, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # a seasonal AR with period 50 needs 150 days, more than the 120-day window
+    cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                               "dependence_window": 40,
+                               "filters": {"Schaake-NP": {"kind": SARIMA,
+                                                          "seasonal_period": 50}}}))
+    out_dir = tmp_path / "out"
+    with pytest.warns(UserWarning, match="seasonal AR needs >= 150"):
+        rc = cli.main(["backtest", "--real", str(panel_csvs / "real.csv"),
+                       "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
+                       "--out-dir", str(out_dir), "--settings", "Schaake-NP,Schaake-Raw"])
+    assert rc == 0
+    header = "date,member," + ",".join(f"h{h}" for h in range(1, 25)) + "\r\n"
+    assert (out_dir / "forecasts_Schaake-NP.csv").read_bytes() == header.encode()
+    assert len(_rows(out_dir / "skipped_days.csv")) == 6
+    assert {row[1] for row in _rows(out_dir / "scores.csv")} == {"Schaake-Raw"}
+    capsys.readouterr()
+
+
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))[1:]
@@ -287,6 +309,18 @@ def test_cli_shuffle_roundtrip(tmp_path, capsys):
                      "--rank-matrix", str(ranks), "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
     assert rows == ["h1,h2", "2.0,30.0", "1.0,10.0", "3.0,20.0"]
+
+
+@pytest.mark.parametrize("text, match", BAD_MATRIX_FILES)
+def test_cli_shuffle_names_line_of_bad_ensemble_row(tmp_path, capsys, text, match):
+    ens = tmp_path / "ens.csv"
+    ens.write_text(text)
+    ranks = tmp_path / "ranks.csv"
+    ranks.write_text("h1,h2\n1,2\n2,1\n")
+    rc = cli.main(["shuffle", "--ensembles", str(ens), "--rank-matrix", str(ranks),
+                   "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert re.search(r"ens\.csv" + match, capsys.readouterr().err)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -2,20 +2,25 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 from scipy.special import ndtr
 
 from _simulate import equicorrelated_normals, rng_for
 from schaake.backtest import TOY_RANK_MATRIX
 from schaake.copula import (
     CopulaError,
+    _nearest_correlation,
     empirical_copula,
     empirical_rank_matrix,
     fit_gaussian_copula,
     is_rank_matrix,
     read_rank_matrix_csv,
     sample_gaussian_rank_matrix,
-    write_rank_matrix_csv,
 )
+from schaake.panel import PanelError
 
 
 def test_single_column_ranks():
@@ -87,6 +92,27 @@ def test_gaussian_fit_output_is_correlation_matrix():
     assert np.linalg.eigvalsh(sigma).min() > 0
 
 
+@st.composite
+def tied_pits(draw):
+    """(m, H) PIT history, H >= 2, drawn from few levels so that ties are common."""
+    shape = (draw(st.integers(3, 40)), draw(st.integers(2, 6)))
+    levels = st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]) | st.floats(0.01, 0.99)
+    return draw(arrays(np.float64, shape, elements=levels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pits=tied_pits())
+def test_gaussian_fit_matches_spearmanr(pits):
+    assume(np.all(np.ptp(pits, axis=0) > 0))
+    rho = stats.spearmanr(pits).statistic
+    if pits.shape[1] == 2:  # spearmanr returns a scalar for two columns
+        rho = np.array([[1.0, rho], [rho, 1.0]])
+    sigma = 2.0 * np.sin(np.pi * rho / 6.0)
+    np.fill_diagonal(sigma, 1.0)
+    expected = _nearest_correlation(sigma)
+    np.testing.assert_allclose(fit_gaussian_copula(pits), expected, rtol=0, atol=1e-12)
+
+
 def test_gaussian_fit_rejects_degenerate_column():
     pits = rng_for(8).uniform(0.01, 0.99, size=(20, 3))
     pits[:, 1] = 0.4
@@ -125,10 +151,27 @@ def test_pit_history_validation():
 
 
 def test_rank_matrix_csv_roundtrip(tmp_path):
-    ranks = empirical_rank_matrix(rng_for(14).uniform(0.01, 0.99, size=(7, 4)))
     path = tmp_path / "ranks.csv"
-    write_rank_matrix_csv(ranks, path)
-    assert np.array_equal(read_rank_matrix_csv(path), ranks)
+    path.write_text("h1,h2,h3\r\n2,3,1\r\n\r\n1,1,3\r\n3,2,2\r\n")
+    ranks = read_rank_matrix_csv(path)
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, [[2, 3, 1], [1, 1, 3], [3, 2, 2]])
+
+
+BAD_MATRIX_FILES = [
+    pytest.param("ranks,h2\n1,2\n2,1\n", r":1: expected header 'h1\.\.hH'", id="header"),
+    pytest.param("h1,h2\n1,2\n2\n", r":3: expected 2 columns, got 1", id="ragged"),
+    pytest.param("h1,h2\n1,2\n2,one\n", r":3: bad value 'one'", id="non-numeric"),
+    pytest.param("h1,h2\n1,2\ninf,1\n", r":3: non-finite value", id="non-finite"),
+]
+
+
+@pytest.mark.parametrize("text, match", BAD_MATRIX_FILES)
+def test_rank_matrix_csv_names_line_of_bad_row(tmp_path, text, match):
+    path = tmp_path / "ranks.csv"
+    path.write_text(text)
+    with pytest.raises(PanelError, match=r"ranks\.csv" + match):
+        read_rank_matrix_csv(path)
 
 
 def test_rank_matrix_csv_rejects_bad_columns(tmp_path):

@@ -20,7 +20,6 @@ from schaake.filters import (
     fit_argarch,
     fit_filter,
     fit_sarima,
-    standardize_next,
 )
 
 
@@ -59,22 +58,6 @@ def test_raw_filter_is_identity():
     assert np.array_equal(out.z, eps)
     assert np.all(out.mu_hat == 0.0) and np.all(out.sigma_hat == 1.0)
     assert out.one_step == (0.0, 1.0)
-
-
-def test_standardize_next():
-    assert standardize_next(0.0, (0.0, 1.0)) == 0.0
-    assert standardize_next(3.0, (1.0, 2.0)) == 1.0
-    with pytest.raises(ValueError):
-        standardize_next(1.0, (0.0, 0.0))
-
-
-def test_standardize_next_roundtrip():
-    rng = rng_for(5)
-    for _ in range(20):
-        eps = float(rng.standard_normal() * 10)
-        mu, sigma = float(rng.standard_normal()), float(rng.uniform(0.1, 5.0))
-        z = standardize_next(eps, (mu, sigma))
-        assert mu + z * sigma == pytest.approx(eps, rel=1e-12)
 
 
 def test_argarch_recovers_known_parameters():

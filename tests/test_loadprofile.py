@@ -12,7 +12,6 @@ from schaake.loadprofile import (
     default_profile,
     load_profile_csv,
     scenario_daily_prices,
-    write_profile_csv,
 )
 from schaake.panel import PanelError
 
@@ -86,11 +85,11 @@ def test_comonotone_price_spread_dominates_independence():
 
 
 def test_profile_csv_roundtrip(tmp_path):
-    profile = default_profile()
+    rows = [f"{h},{w!r}" for h, w in enumerate(default_profile().weights.tolist(), start=1)]
     path = tmp_path / "profile.csv"
-    write_profile_csv(profile, path)
+    path.write_text("Hour , Weight\r\n" + "\r\n".join(rows[12:] + [""] + rows[:12]) + "\r\n")
     again = load_profile_csv(path)
-    assert np.array_equal(again.weights, profile.weights)
+    assert np.array_equal(again.weights, default_profile().weights)
 
 
 def test_profile_csv_rejects_missing_hours(tmp_path):
@@ -123,6 +122,9 @@ def test_profile_csv_rejects_malformed_rows(tmp_path, lines, match):
 def test_profile_validation():
     with pytest.raises(ValueError):
         LoadProfile(np.array([0.1, -0.2, 0.3]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LoadProfile(np.array([bad] + [1.0] * 23))
     with pytest.raises(ValueError):
         LoadProfile(np.zeros(24))
     with pytest.raises(ValueError):

@@ -133,6 +133,13 @@ def test_dm_antisymmetry():
     assert p_ab == p_ba
 
 
+def test_dm_returns_python_floats():
+    rng = rng_for(7)
+    stat, p = dm_test(rng.standard_normal(50), rng.standard_normal(50))
+    assert type(stat) is float
+    assert type(p) is float
+
+
 def test_dm_size_monte_carlo():
     rng = rng_for(8)
     deltas = rng.standard_normal((1000, 500))
