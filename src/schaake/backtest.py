@@ -141,12 +141,12 @@ class BacktestResult:
         """
         rows = []
         names = [s for s in self.scores]
+        index = {s: {d: i for i, d in enumerate(self.setting_dates(s))} for s in names}
         for i, a in enumerate(names):
             for b in names[i + 1:]:
-                da, db = self.setting_dates(a), self.setting_dates(b)
-                common = sorted(set(da) & set(db))
-                ia = [da.index(d) for d in common]
-                ib = [db.index(d) for d in common]
+                common = sorted(index[a].keys() & index[b].keys())
+                ia = [index[a][d] for d in common]
+                ib = [index[b][d] for d in common]
                 for metric, sa, sb in (
                         ("es", self.scores[a].es, self.scores[b].es),
                         ("crps", self.scores[a].daily_crps, self.scores[b].daily_crps)):
@@ -164,10 +164,15 @@ class BacktestResult:
         avg = scoring.average_rank_histogram(ranks.mean(axis=1), self.m)
         return per_hour, avg
 
-    def write_outputs(self, out_dir) -> None:
+    def write_outputs(self, out_dir, jobs: int = 1) -> None:
+        """Write the forecast, score, rank-histogram, DM and skipped-day CSVs.
+
+        With ``jobs > 1`` the per-setting forecast files are written on that
+        many processes, one task per file; the bytes do not depend on ``jobs``.
+        """
         os.makedirs(out_dir, exist_ok=True)
-        for setting, fcs in self.forecasts.items():
-            forecast.write_forecasts_csv(fcs, os.path.join(out_dir, f"forecasts_{setting}.csv"))
+        _map(_write_forecasts, [(fcs, os.path.join(out_dir, f"forecasts_{setting}.csv"))
+                                for setting, fcs in self.forecasts.items()], jobs)
         write_rows(os.path.join(out_dir, "scores.csv"), ["date", "setting", "es", "crps_mean"],
                    ([date.isoformat(), setting, es, crps]
                     for setting, panel in self.scores.items()
@@ -275,6 +280,20 @@ def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitt
     return results
 
 
+def _write_forecasts(args) -> None:
+    forecast.write_forecasts_csv(*args)
+
+
+def _map(fn, tasks, jobs: int) -> list:
+    """``[fn(task) for task in tasks]``, on a pool of ``jobs`` processes when jobs > 1."""
+    # the platform's default start method: on Linux workers fork; a spawned
+    # pool re-imports numpy and scipy, which took longer than all the writes
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def _run_block(args):
     errors, fc_values, dates, day_indices, cfg = args
     diagnostics: list = []
@@ -314,11 +333,7 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
               for i in range(0, len(eval_idx), cfg.refit_every)]
     tasks = [(errors, fc.values, dates, block, cfg) for block in blocks]
 
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            block_results = list(pool.map(_run_block, tasks))
-    else:
-        block_results = [_run_block(task) for task in tasks]
+    block_results = _map(_run_block, tasks, jobs)
 
     day_results = []
     diagnostics: list = []

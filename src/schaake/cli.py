@@ -17,7 +17,8 @@ import numpy as np
 
 from . import backtest as bt
 from . import copula, filters, forecast, loadprofile, scoring
-from .panel import PanelError, hour_names, load_panel, read_matrix_csv, write_rows
+from .panel import (PanelError, hour_names, load_panel, read_matrix_csv, write_number_rows,
+                    write_rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +82,7 @@ def _cmd_backtest(args) -> int:
     real = load_panel(args.real, role="realization")
     fc = load_panel(args.forecast, role="forecast")
     result = bt.run_backtest(real, fc, cfg, jobs=args.jobs)
-    result.write_outputs(args.out_dir)
+    result.write_outputs(args.out_dir, jobs=args.jobs)
     for name, panel in result.scores.items():
         print(f"{name}: mean ES {panel.mean_es:.4f}, mean CRPS {panel.mean_crps:.4f} "
               f"({len(panel.dates)} days)")
@@ -126,7 +127,7 @@ def _cmd_shuffle(args) -> int:
     ranks = copula.read_rank_matrix_csv(args.rank_matrix)
     import datetime
     fc = forecast.shuffle(members, ranks, date=datetime.date.today())
-    write_rows(args.out, hour_names(fc.members.shape[1]), fc.members.tolist())
+    write_number_rows(args.out, hour_names(fc.members.shape[1]), [(None, fc.members.tolist())])
     return 0
 
 

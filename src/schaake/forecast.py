@@ -15,7 +15,8 @@ import numpy as np
 
 from .copula import CopulaError, is_rank_matrix
 from .margins import MarginModel, quantile
-from .panel import N_HOURS, PanelError, hour_names, parse_cell, read_rows, write_rows
+from .panel import (N_HOURS, FloatCells, PanelError, hour_names, parse_cell, read_rows,
+                    write_number_rows)
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,9 @@ def write_forecasts_csv(forecasts, path) -> None:
     """Serialize forecasts to CSV with columns ``date,member,h1..hH`` (H = 24 if none)."""
     forecasts = list(forecasts)
     n_hours = forecasts[0].members.shape[1] if forecasts else N_HOURS
-    write_rows(path, ["date", "member"] + hour_names(n_hours),
-               ([fc.date.isoformat(), i] + row
-                for fc in forecasts for i, row in enumerate(fc.members.tolist(), start=1)))
-
-
-def _floats(cells) -> list:
-    return [float(v) for v in cells]
+    write_number_rows(path, ["date", "member"] + hour_names(n_hours),
+                      ((fc.date, ([i, *row] for i, row in enumerate(fc.members.tolist(), start=1)))
+                       for fc in forecasts))
 
 
 def read_forecasts_csv(path) -> list:
@@ -118,27 +115,43 @@ def read_forecasts_csv(path) -> list:
 
     Every day must hold members 1..m with one m for all days; malformed rows
     and days raise :class:`PanelError` naming ``path:line`` (of a day's first row).
+    The values of each run of rows with one date are cast to floats in one call.
     """
-    by_date: dict = {}  # date -> {member: (line, values)}
-    for lineno, row in read_rows(path, ("date", "member"), hourly=True):
-        date = parse_cell(datetime.date.fromisoformat, row[0], "date", path, lineno)
-        member = parse_cell(int, row[1], "member", path, lineno)
-        values = parse_cell(_floats, row[2:], "values", path, lineno)
-        day = by_date.setdefault(date, {})
-        if member in day:
-            raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
-        day[member] = (lineno, values)
+    dates: dict = {}    # date text -> date
+    lines: dict = {}    # date -> {member: line}, in file order
+    parts: dict = {}    # date -> the value arrays of its runs of rows, in file order
+    values = FloatCells(path, "values")
+    run_date = None
+    try:
+        for lineno, row in read_rows(path, ("date", "member"), hourly=True):
+            date = dates.get(row[0])
+            if date is None:
+                date = dates[row[0]] = parse_cell(datetime.date.fromisoformat, row[0],
+                                                  "date", path, lineno)
+            member = parse_cell(int, row[1], "member", path, lineno)
+            if date != run_date and len(values):
+                parts.setdefault(run_date, []).append(values.take())
+            run_date = date
+            values.add(lineno, row[2:])
+            day = lines.setdefault(date, {})
+            if member in day:
+                raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
+            day[member] = lineno
+    except PanelError:
+        values.take()
+        raise
+    if len(values):
+        parts.setdefault(run_date, []).append(values.take())
     out, m = [], None
-    for date in sorted(by_date):
-        day = by_date[date]
+    for date in sorted(lines):
+        day = lines[date]
         m = m or len(day)
         if len(day) != m or min(day) != 1 or max(day) != m:
-            first = min(line for line, _ in day.values())
-            raise PanelError(f"{path}:{first}: {date} holds {len(day)} members "
+            raise PanelError(f"{path}:{min(day.values())}: {date} holds {len(day)} members "
                              f"numbered {min(day)}..{max(day)}, expected 1..{m}")
-        members = np.array([day[k][1] for k in range(1, m + 1)])
+        members = np.concatenate(parts[date])[np.argsort(list(day))]
         finite = np.isfinite(members).all(axis=1)
         if not finite.all():
-            raise PanelError(f"{path}:{day[int(np.argmin(finite)) + 1][0]}: non-finite value")
+            raise PanelError(f"{path}:{day[int(np.argmin(finite)) + 1]}: non-finite value")
         out.append(EnsembleForecast(date, members))
     return out

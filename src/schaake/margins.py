@@ -2,7 +2,8 @@
 
 Two margin kinds: an empirical CDF over a window of standardized residuals,
 and the standard normal.  Empirical PITs are rank based, rk/(n+1), and never
-reach 0 or 1, so downstream copula code sees strictly interior levels.
+reach 0 or 1; Gaussian PITs are clipped inside (0, 1).  So downstream copula
+code sees strictly interior levels.
 """
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ from scipy.special import ndtr, ndtri
 
 EMPIRICAL = "empirical"
 GAUSSIAN = "gaussian"
+# the Gaussian PIT's range: the smallest normal float and the largest float below 1
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,15 @@ def pit(model: MarginModel, z):
     (k, H) values.  Empirical margins use rank/(n+1) with rank = 1 +
     #{sample < z}, capped at n so levels stay strictly inside (0, 1); the
     count holds n booleans per value.  Tied values share the lower rank.
-    Gaussian margins apply the standard normal CDF.
+    Gaussian margins apply the standard normal CDF, clipped into
+    [tiny, 1 - eps/2] because it rounds to exactly 1 above z of about 8.3
+    and to 0 below about -38.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("cannot PIT non-finite values")
     if model.kind == GAUSSIAN:
-        u = ndtr(z)
+        u = np.clip(ndtr(z), _TINY, _BELOW_ONE)
     else:
         hours = model.hours
         lead = len(np.broadcast_shapes(z.shape, hours)) - len(hours)

@@ -62,6 +62,8 @@ def crps_ensemble(members, y):
     Computes (1/m) sum|x_k - y| - (1/(2 m^2)) sum sum|x_l - x_k| along axis 0
     using the sorted-sample identity for the pairwise term, so the value
     depends only on each column's member multiset, not on the row order.
+    The two terms can cancel to about -1e-15 where the true CRPS is 0 (every
+    member equal to the outcome), so the result is clamped at 0.
     """
     members = np.asarray(members, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -74,12 +76,12 @@ def crps_ensemble(members, y):
     dist = np.mean(np.abs(x - y), axis=0)
     # sum_{l,k} |x_l - x_k| = 2 * sum_k (2k - 1 - m) x_(k)
     spread = 2.0 * ((2.0 * np.arange(1, m + 1) - 1.0 - m) @ x)
-    crps = dist - spread / (2.0 * m * m)
+    crps = np.maximum(dist - spread / (2.0 * m * m), 0.0)
     return crps if crps.ndim else float(crps)
 
 
 def energy_score(members, y) -> float:
-    """Energy Score of an m x d ensemble against a d-vector outcome."""
+    """Energy Score of an m x d ensemble against a d-vector outcome, clamped at 0 as the CRPS."""
     members = np.asarray(members, dtype=float)
     y = np.asarray(y, dtype=float)
     if members.ndim != 2 or members.shape[0] < 1:
@@ -89,7 +91,7 @@ def energy_score(members, y) -> float:
     m = members.shape[0]
     dist = float(np.mean(np.linalg.norm(members - y, axis=1)))
     # pdist lists each unordered pair once: half the full double sum
-    return dist - float(pdist(members).sum()) / (m * m)
+    return max(dist - float(pdist(members).sum()) / (m * m), 0.0)
 
 
 def dm_test(s1, s2):

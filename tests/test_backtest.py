@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from _simulate import iid_error_panels
+from _simulate import equicorrelated_normals, iid_error_panels, panels_from_errors
 from test_copula import BAD_MATRIX_FILES
 from schaake import cli
 from schaake.backtest import (
@@ -289,6 +289,44 @@ def test_cli_evaluate_rejects_mixed_member_counts(panel_csvs, tmp_path, capsys):
     assert rc == 2
     assert "forecasts_fewer.csv: 20 members per day, earlier files have 40" in \
         capsys.readouterr().err
+
+
+def _cli_backtest_on_errors(tmp_path, errors, config):
+    """Exit code of ``schaake backtest`` on panels with the given errors."""
+    real, fc = panels_from_errors(errors)
+    save_panel(real, tmp_path / "real.csv")
+    save_panel(fc, tmp_path / "fc.csv")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    return cli.main(["backtest", "--real", str(tmp_path / "real.csv"),
+                     "--forecast", str(tmp_path / "fc.csv"), "--config",
+                     str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "out")])
+
+
+def test_cli_backtest_scores_members_equal_to_the_outcome(tmp_path, capsys):
+    # hour 5's errors are 0.25 for 70 days, so on days 60..69 every Schaake-Raw
+    # member of hour 5 equals the outcome, whose CRPS cancels to about -1e-15
+    errors = equicorrelated_normals(75, 0.5, 5)
+    errors[:70, 4] = 0.25
+    rc = _cli_backtest_on_errors(tmp_path, errors, {
+        "error_window": 60, "margin_window": 20, "dependence_window": 20,
+        "settings": ["Schaake-Raw"]})
+    assert rc == 0, capsys.readouterr().err
+    assert len(_rows(tmp_path / "out" / "scores.csv")) == 15
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:argarch fit failed")
+def test_cli_backtest_with_gaussian_pit_of_one(tmp_path, capsys):
+    # hour 5's errors are constant for 106 days: windows that end with a few
+    # varying errors standardize them far beyond z = 8.3, where ndtr rounds to 1
+    errors = equicorrelated_normals(110, 0.5, 5)
+    errors[:106, 4] = 0.25
+    rc = _cli_backtest_on_errors(tmp_path, errors, {
+        "error_window": 100, "margin_window": 20, "dependence_window": 20,
+        "settings": ["Schaake-P"]})
+    assert rc == 0, capsys.readouterr().err
+    assert _rows(tmp_path / "out" / "scores.csv")
+    capsys.readouterr()
 
 
 def test_cli_toy_example(capsys):

@@ -147,6 +147,20 @@ def test_forecast_csv_roundtrip(tmp_path):
         assert np.array_equal(a.members, b.members)
 
 
+def test_read_forecasts_csv_orders_days_and_members(tmp_path):
+    # days interleaved and members out of order: rows of one date come in
+    # several runs, and each day's rows are put in member order
+    path = tmp_path / "fc.csv"
+    path.write_text("\n".join(["date,member,h1,h2", "2020-01-02,2,7.0,8.0",
+                               "2020-01-01,3,5.0,6.0", "2020-01-01,1,1.0,2.0",
+                               "2020-01-02,1,5.5,6.5", "2020-01-01,2,3.0,4.0",
+                               "2020-01-02,3,9.0,1e1"]) + "\n")
+    fcs = read_forecasts_csv(path)
+    assert [fc.date for fc in fcs] == [datetime.date(2020, 1, 1), datetime.date(2020, 1, 2)]
+    assert fcs[0].members.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert fcs[1].members.tolist() == [[5.5, 6.5], [7.0, 8.0], [9.0, 10.0]]
+
+
 DAY1 = ["2020-01-01,1,1.0,2.0", "2020-01-01,2,3.0,4.0"]
 
 
@@ -162,6 +176,16 @@ DAY1 = ["2020-01-01,1,1.0,2.0", "2020-01-01,2,3.0,4.0"]
      r":2: 2020-01-01 holds 2 members numbered 1\.\.3, expected 1\.\.2"),
     (["date,member,h1,h2"] + DAY1 + ["2020-01-02,1,1.0,2.0"],
      r":4: 2020-01-02 holds 1 members numbered 1\.\.1, expected 1\.\.2"),
+    # a day's values are cast in one call; the fallback names the bad row's line
+    (["date,member,h1,h2"] + [f"2020-01-01,{k},{k}.0,{k}.5" for k in range(1, 6)]
+     + ["2020-01-02,1,1.0,2.0", "2020-01-02,2,3.0,4.0", "2020-01-02,3,5.0,6_"],
+     r":9: bad values \['5\.0', '6_'\]"),
+    (["date,member,h1,h2"] + [f"2020-01-01,{k},{k}.0,{k}.5" for k in range(1, 5)]
+     + ["2020-01-01,5,x,5.5"], r":6: bad values \['x', '5\.5'\]"),
+    # an earlier bad value comes before a later row's error
+    (["date,member,h1,h2", "2020-01-01,1,1.0,x"] + DAY1, r":2: bad values"),
+    (["date,member,h1,h2", "2020-01-01,1,1.0,x", "2020-01-01,2,3.0"], r":2: bad values"),
+    (["date,member,h1,h2", "2020-01-01,1,1.0,x", "2020-01-02,1,nan,2.0"], r":2: bad values"),
 ])
 def test_read_forecasts_csv_rejects_malformed_rows(tmp_path, lines, match):
     path = tmp_path / "fc.csv"

@@ -22,6 +22,12 @@ def test_empirical_pit_never_hits_boundaries():
         assert pit(model, z) in levels
 
 
+def test_gaussian_pit_stays_inside_the_unit_interval():
+    # ndtr rounds to exactly 1 above z of about 8.3 and to 0 below about -38
+    u = pit(MarginModel.gaussian(), [9.0, -40.0])
+    assert np.all((u > 0.0) & (u < 1.0))
+
+
 def test_pit_rejects_non_finite():
     with pytest.raises(ValueError):
         pit(MarginModel.gaussian(), np.nan)

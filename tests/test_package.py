@@ -1,4 +1,4 @@
-"""The package root exports every name the README's Library section names."""
+"""The package root exports exactly the names the README's Library section names."""
 import re
 from pathlib import Path
 
@@ -13,4 +13,6 @@ def test_readme_library_names_are_exported():
     for block in re.findall(r"from schaake import \(([^)]*)\)", library):
         names |= set(re.findall(r"\w+", block))
     assert len(names) > 10
-    assert sorted(names - set(schaake.__all__)) == []
+    assert sorted(names - set(schaake.__all__)) == []   # documented, not exported
+    assert sorted(set(schaake.__all__) - names) == []   # exported, not documented
+    assert all(hasattr(schaake, name) for name in schaake.__all__)

@@ -1,15 +1,23 @@
+import csv
 import datetime
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schaake.panel import (
     N_HOURS,
+    FloatCells,
     HourlyPanel,
     PanelError,
     compute_errors,
     load_panel,
     save_panel,
+    write_number_rows,
 )
 
 
@@ -81,6 +89,27 @@ def test_non_finite_value_rejected(tmp_path):
         load_panel(path)
 
 
+@pytest.mark.parametrize("changes, match", [
+    ({20: (None, "x")}, r":22: bad value 'x'"),
+    ({5: (None, "nan"), 8: (None, "x")}, r":7: non-finite value 'nan'"),
+    ({5: (None, "x"), 8: (3, None)}, r":7: bad value 'x'"),
+    ({5: (None, "x"), 8: (25, None)}, r":7: bad value 'x'"),
+    ({5: (None, "x"), 8: ("first", None)}, r":7: bad value 'x'"),
+    ({5: (3, "x")}, r":7: bad value 'x'"),
+])
+def test_load_panel_names_the_first_bad_line(tmp_path, changes, match):
+    # values are cast in bulk, after the row checks; an earlier bad value
+    # must still be reported before a later row's error
+    rows = full_day("2020-01-01", 10.0)
+    for i, (hour, value) in changes.items():
+        d, h, v = rows[i]
+        rows[i] = (d, h if hour is None else hour, v if value is None else value)
+    path = tmp_path / "cells.csv"
+    write_csv(path, rows)
+    with pytest.raises(PanelError, match=r"cells\.csv" + match):
+        load_panel(path)
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "head.csv"
     path.write_text("day,hour,price\n2020-01-01,1,2\n")
@@ -134,3 +163,68 @@ def test_compute_errors_date_mismatch():
     with pytest.raises(PanelError, match="different dates"):
         compute_errors(HourlyPanel(d1, np.zeros((1, N_HOURS))),
                        HourlyPanel(d2, np.zeros((1, N_HOURS))))
+
+
+# cells that csv never quotes, among them the edge cases of repr
+NUMBERS = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.floats(),
+    st.integers(-2**60, 2**60).map(float),
+    st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, 1e308, -1e308, 1e22, 123456789.0]),
+)
+
+
+def csv_writer_bytes(header, blocks) -> bytes:
+    """Reference: the same rows written by ``csv.writer``, dates as cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for date, rows in blocks:
+        writer.writerows(([] if date is None else [date]) + list(row) for row in rows)
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(st.tuples(st.none() | st.dates(),
+                                 st.lists(st.lists(NUMBERS, min_size=1, max_size=6),
+                                          max_size=4)),
+                       max_size=4))
+def test_write_number_rows_matches_csv_writer(blocks):
+    header = ["date", "member", "h1"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_number_rows(path, header, blocks)
+        assert path.read_bytes() == csv_writer_bytes(header, blocks)
+
+
+FLOAT_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.from_regex(r"\A\s?[-+]?[0-9_]{0,4}\.?[0-9_]{0,3}([eE][-+]?[0-9]{1,3})?\s?\Z"),
+    st.sampled_from(["nan", "-inf", "Infinity", "1_0", " 1.5 ", "0x10", "", "1__0",
+                     "\u0661\u0662", "1e500", "1d5", "nan(1)"]),
+    st.text(max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(FLOAT_TEXTS, min_size=1, max_size=8), rows=st.booleans())
+def test_float_cells_accept_what_float_accepts(texts, rows):
+    # as rows, every entry is a list of two cells, as a forecast row's values
+    entries = [[text, "1.0"] if rows else text for text in texts]
+    cells = FloatCells("f.csv")
+    for line, entry in enumerate(entries, start=2):
+        cells.add(line, entry)
+    expected = []
+    for line, (text, entry) in enumerate(zip(texts, entries), start=2):
+        try:
+            expected.append(float(text))
+        except ValueError:
+            with pytest.raises(PanelError) as exc:
+                cells.take()
+            assert str(exc.value) == f"f.csv:{line}: bad value {entry!r}"
+            return
+    values = cells.take()
+    assert values.shape == ((len(texts), 2) if rows else (len(texts),))
+    got = values[:, 0] if rows else values
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in expected]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _simulate import rng_for
 from schaake.scoring import (
@@ -66,6 +69,16 @@ def test_crps_large_gaussian_ensemble():
     # CRPS of N(0,1) at y = 0 is (sqrt(2) - 1) / sqrt(pi)
     closed_form = (np.sqrt(2.0) - 1.0) / np.sqrt(np.pi)
     assert crps_ensemble(members, 0.0) == pytest.approx(closed_form, abs=0.01)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 100),
+       y=arrays(np.float64, st.integers(1, 24), elements=st.floats(-1e3, 1e3)))
+def test_scores_of_members_equal_to_the_outcome_are_nonnegative(m, y):
+    # the CRPS's two terms cancel to about -1e-15 unless clamped
+    members = np.full((m, y.size), y)
+    assert np.all(crps_ensemble(members, y) >= 0.0)
+    assert energy_score(members, y) >= 0.0
 
 
 def test_energy_score_single_member():
