@@ -9,6 +9,10 @@ forward one day at a time.  The collected forecasts are then (4) scored
 against realizations by :func:`scoring.score_forecasts`, the same function
 ``schaake evaluate`` uses.
 
+A setting whose filter cannot be fitted on a block's window, or whose
+copula cannot be learned from a day's PIT history, skips that day; the
+reason is kept in ``BacktestResult.diagnostics``.
+
 A Schaake setting and its independence counterpart reorder the same sorted
 ensembles, and the CRPS sorts each hour's members before scoring them, so
 their per-hour CRPS panels agree bitwise.
@@ -208,36 +212,36 @@ def _margin_groups(cfg: BacktestConfig):
     return groups
 
 
-def _fit_block_filters(errors, t0: int, cfg: BacktestConfig, diagnostics):
-    """Fit every needed filter spec on the window ending the day before t0.
+def _fit_block_filters(errors, dates, t0: int, cfg: BacktestConfig, diagnostics):
+    """Fit every needed filter spec on the error window before block day t0.
 
-    Returns {spec: per-hour params list or None when the fit failed}.
+    Each spec fits all 24 hours in one call.  Returns {spec: list of 24
+    params, or None when the fit failed}.
     """
     fitted = {}
+    start = t0 - cfg.error_window
     for spec, _ in _margin_groups(cfg):
         if spec in fitted:
             continue
         if spec.kind == filters.RAW:
             fitted[spec] = [None] * N_HOURS
             continue
-        window = errors[t0 - cfg.error_window:t0]
-        params = []
         try:
-            for h in range(N_HOURS):
-                p, _out = filters.fit_filter(window[:, h], spec, seed=cfg.seed)
-                params.append(p)
-            fitted[spec] = params
+            fitted[spec], _out = filters.fit_filter(errors[start:t0], spec, seed=cfg.seed)
         except filters.FitError as exc:
-            diagnostics.append(f"{spec.kind} fit failed for window ending index {t0}: {exc}")
+            diagnostics.append(f"{spec.kind} fit failed for the block starting {dates[t0]} "
+                               f"(window {dates[start]} to {dates[t0 - 1]}): {exc}")
             fitted[spec] = None
     return fitted
 
 
-def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitted):
+def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitted,
+                      diagnostics):
     """Forecasts for one target day.
 
     Returns {setting: EnsembleForecast or None}; None marks a day skipped
-    because the setting's filter failed to fit.
+    because the setting's filter failed to fit or its copula could not be
+    learned from the PIT history (the reason goes to ``diagnostics``).
     """
     m = cfg.m
     results: dict = {name: None for name in cfg.settings}
@@ -248,10 +252,8 @@ def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitt
         if params is None:
             continue
         if spec not in paths:
-            outs = [filters.filter_output(window[:, h], spec, params[h])
-                    for h in range(N_HOURS)]
-            paths[spec] = (np.column_stack([out.z for out in outs]),
-                           tuple(np.array([out.one_step for out in outs]).T))
+            out = filters.filter_output(window, spec, params)
+            paths[spec] = (out.z, out.one_step)
         z, one_step = paths[spec]
         if margin_kind == "empirical":
             margin = MarginModel.empirical(z[-cfg.margin_window:])
@@ -264,19 +266,24 @@ def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitt
         sigma = None
         for name in names:
             dep = SETTING_TABLE[name][2]
-            if dep == SHUFFLE:
-                if rank_matrix is None:
-                    rank_matrix = copula.empirical_rank_matrix(pits)
-                results[name] = forecast.shuffle(members, rank_matrix, date=date)
-            elif dep == GAUSSIAN_COPULA:
-                if sigma is None:
-                    sigma = copula.fit_gaussian_copula(pits)
-                ranks = copula.sample_gaussian_rank_matrix(
-                    sigma, m, derive_seed(cfg.seed, date, name, "copula-sample"))
-                results[name] = forecast.shuffle(members, ranks, date=date)
-            else:
+            if dep == INDEPENDENCE:
                 results[name] = forecast.independence_forecast(
                     members, derive_seed(cfg.seed, date, name, "independence"), date=date)
+                continue
+            try:
+                if dep == SHUFFLE:
+                    if rank_matrix is None:
+                        rank_matrix = copula.empirical_rank_matrix(pits)
+                    ranks = rank_matrix
+                else:
+                    if sigma is None:
+                        sigma = copula.fit_gaussian_copula(pits)
+                    ranks = copula.sample_gaussian_rank_matrix(
+                        sigma, m, derive_seed(cfg.seed, date, name, "copula-sample"))
+            except (copula.CopulaError, np.linalg.LinAlgError) as exc:
+                diagnostics.append(f"{name} skipped on {date}: {exc}")
+                continue
+            results[name] = forecast.shuffle(members, ranks, date=date)
     return results
 
 
@@ -297,10 +304,11 @@ def _map(fn, tasks, jobs: int) -> list:
 def _run_block(args):
     errors, fc_values, dates, day_indices, cfg = args
     diagnostics: list = []
-    fitted = _fit_block_filters(errors, day_indices[0], cfg, diagnostics)
+    fitted = _fit_block_filters(errors, dates, day_indices[0], cfg, diagnostics)
     out = []
     for t in day_indices:
-        out.append((dates[t], _forecast_one_day(errors, fc_values, t, dates[t], cfg, fitted)))
+        out.append((dates[t], _forecast_one_day(errors, fc_values, t, dates[t], cfg, fitted,
+                                                diagnostics)))
     return out, diagnostics
 
 

@@ -3,13 +3,22 @@
 Three filters are available: a raw pass-through, an AR(1)-GARCH(1,1)
 estimated by Gaussian quasi-maximum likelihood, and a seasonal AR model
 (one regular and one seasonal AR coefficient, homoskedastic residuals)
-estimated by conditional least squares.  Each fit yields conditional mean
-and standard deviation paths over the learning window, the standardized
-residuals, and a one-step-ahead (mu, sigma) forecast for the target day.
+estimated by conditional least squares.  A fit takes one hour's (n,) error
+window or an (n, H) window of H hours, each column fitted on its own.  It
+yields conditional mean and standard deviation paths over the learning
+window, the standardized residuals, and a one-step-ahead (mu, sigma)
+forecast for the target day; an (n, H) window gives (n, H) paths and (H,)
+forecasts.
 
-The AR-GARCH likelihood computes the variance recursion with one linear
-filter call and its gradient with one more, run backwards (the adjoint
-method), and is minimized by L-BFGS-B.  A fit whose searches all fail to
+The AR-GARCH likelihoods of all H hours are evaluated together: the
+variance recursion runs as one linear filter call per hour and its gradient
+as one more, run backwards (the adjoint method).  One BFGS search with a
+backtracking Armijo line search minimizes the H likelihoods at once; every
+hour keeps its own search state and sees only its own column, so an hour's
+estimate does not depend on which hours share its window.  An hour whose
+search does not converge (within 500 iterations, or because its line search
+stalls) is searched again by L-BFGS-B from the same start, with seeded
+restarts.  A fit whose 5 L-BFGS-B searches for some hour all fail to
 converge raises ``FitError``; the backtest skips that day.
 """
 from __future__ import annotations
@@ -19,12 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, signal
+from scipy.special import expit
 
 RAW = "raw"
 AR_GARCH = "argarch"
 SARIMA = "sarima"
 
 _MIN_ARGARCH_WINDOW = 100
+_ONE = np.ones(1)
+# BFGS stopping rules: L-BFGS-B's maxiter and gtol, and a relative decrease
+# 100x below its ftol of 1e-12, which stopped BFGS early on the flat
+# alpha -> 0 ridge of the likelihood
+_MAXITER = 500
+_GTOL = 1e-8
+_FTOL = 1e-14
 
 
 class FitError(RuntimeError):
@@ -77,7 +94,11 @@ class SarimaParams:
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Filtered paths over the learning window plus the one-step forecast."""
+    """Filtered paths over the learning window plus the one-step forecast.
+
+    For an (n,) window the paths are (n,) and ``one_step`` holds two floats;
+    for an (n, H) window the paths are (n, H) and ``one_step`` two (H,) arrays.
+    """
 
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
@@ -85,125 +106,255 @@ class FilterOutput:
     one_step: tuple  # (mu, sigma) for the target day
 
 
+def _rows(eps: np.ndarray) -> np.ndarray:
+    """An (n,) or (n, H) window as (H, n), one contiguous row per hour."""
+    return np.ascontiguousarray(eps.reshape(eps.shape[0], -1).T)
+
+
+def _output(eps, mu, sigma, z, mu_next, sigma_next) -> FilterOutput:
+    """FilterOutput shaped like ``eps`` from (H, n) paths and (H,) forecasts."""
+    if eps.ndim == 1:
+        return FilterOutput(mu[0], sigma[0], z[0], (float(mu_next[0]), float(sigma_next[0])))
+    return FilterOutput(np.ascontiguousarray(mu.T), np.ascontiguousarray(sigma.T),
+                        np.ascontiguousarray(z.T), (mu_next, sigma_next))
+
+
+def _per_hour(eps: np.ndarray, params):
+    """``params`` as a list with one entry per column of ``eps``."""
+    return [params] if eps.ndim == 1 else list(params)
+
+
+def _hours(eps: np.ndarray, columns) -> str:
+    """' for hours ...' naming ``columns`` as 1-based hours; '' for an (n,) window."""
+    if eps.ndim == 1:
+        return ""
+    return " for hours " + ", ".join(str(h + 1) for h in columns)
+
+
 # ---------------------------------------------------------------------------
 # AR(1)-GARCH(1,1) quasi-maximum likelihood
 # ---------------------------------------------------------------------------
 
-def _argarch_paths(eps, c, phi, omega, alpha, beta):
-    """Mean residuals and conditional variance path.
+def _ar1_filter(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """y_t = x_t + beta*y_{t-1} along each row of x, with that row's beta.
 
-    The first observation uses the unconditional mean c/(1-phi); the variance
-    recursion h_t = omega + alpha*e_{t-1}^2 + beta*h_{t-1} is seeded with the
-    sample variance of the mean residuals.  Returns (e, h) with e the n mean
-    residuals and h the n + 1 variances: the path, then the one-step forecast.
+    ``lfilter`` takes one denominator per call, so it runs once per row.
     """
+    y = np.empty(x.shape)
+    a = np.ones((len(beta), 2))
+    a[:, 1] = -beta
+    for i in range(len(beta)):
+        y[i] = signal.lfilter(_ONE, a[i], x[i])
+    return y
+
+
+def _argarch_paths(eps, c, phi, omega, alpha, beta):
+    """Mean residuals and conditional variance paths, one hour per row.
+
+    ``eps`` is (H, n) and the parameters are (H,).  The first observation
+    uses the unconditional mean c/(1-phi); the variance recursion
+    h_t = omega + alpha*e_{t-1}^2 + beta*h_{t-1} is seeded with the sample
+    variance of the mean residuals.  Returns (e, h) with e the (H, n) mean
+    residuals and h the (H, n + 1) variances: the paths, then the one-step
+    forecasts.
+    """
+    n = eps.shape[1]
     e = np.empty_like(eps)
-    e[0] = eps[0] - c / (1.0 - phi)
-    e[1:] = eps[1:] - c - phi * eps[:-1]
+    e[:, 0] = eps[:, 0] - c / (1.0 - phi)
+    e[:, 1:] = eps[:, 1:] - c[:, None] - phi[:, None] * eps[:, :-1]
     e2 = e * e
-    h0 = e2.sum() / eps.size
-    x = np.empty(eps.size + 1)
-    x[0] = h0 if h0 > 0.0 else 1e-12
-    x[1:] = omega + alpha * e2
-    return e, signal.lfilter([1.0], [1.0, -beta], x)
+    h0 = e2.sum(axis=1) / n
+    x = np.empty((eps.shape[0], n + 1))
+    x[:, 0] = np.where(h0 > 0.0, h0, 1e-12)
+    np.multiply(alpha[:, None], e2, out=x[:, 1:])
+    x[:, 1:] += omega[:, None]
+    return e, _ar1_filter(x, beta)
 
 
 def _argarch_objective(theta, eps):
-    """Negative log-likelihood and its gradient with respect to ``theta``.
+    """Negative log-likelihoods and their gradients with respect to ``theta``.
 
-    The gradient runs the variance recursion backwards (the adjoint):
-    lam_t = dL/dh_t + beta*lam_{t+1} is the total derivative of the
-    likelihood with respect to h_t, including its effect on later variances.
-    Points where the likelihood is not finite return (inf, 0).
+    ``theta`` is (H, 5), one transformed parameter vector per hour, and
+    ``eps`` (H, n), one error window per row; returns the (H,) NLLs and the
+    (H, 5) gradients.  A (5,) ``theta`` with an (n,) window returns a float
+    and a (5,) gradient.  The gradient runs the variance recursion backwards
+    (the adjoint): lam_t = dL/dh_t + beta*lam_{t+1} is the total derivative
+    of the likelihood with respect to h_t, including its effect on later
+    variances.  Hours where the likelihood is not finite return (inf, 0).
     """
+    if theta.ndim == 1:
+        nll, grad = _argarch_objective(theta[None], eps[None])
+        return float(nll[0]), grad[0]
     c, phi, omega, alpha, beta = _argarch_untransform(theta)
-    n = eps.size
+    n = eps.shape[1]
     with np.errstate(all="ignore"):
         e, h = _argarch_paths(eps, c, phi, omega, alpha, beta)
-        h = h[:-1]
+        h = h[:, :-1]
         e2 = e * e
-        u = e2 / h
-        nll = 0.5 * (n * math.log(2.0 * math.pi) + float(np.log(h).sum()) + float(u.sum()))
-        lam = signal.lfilter([1.0], [1.0, -beta], ((0.5 - 0.5 * u) / h)[::-1])[::-1]
-        lam_next = lam[1:]
-        d_omega = float(lam_next.sum())
-        d_alpha = float(np.dot(lam_next, e2[:-1]))
-        d_beta = float(np.dot(lam_next, h[:-1]))
+        inv_h = 1.0 / h
+        u = e2 * inv_h
+        nll = 0.5 * (n * math.log(2.0 * math.pi) + np.log(h).sum(axis=1) + u.sum(axis=1))
+        # lam2 = 2*lam, from dL/dh_t = 0.5*(1 - u_t)/h_t
+        lam2 = np.ascontiguousarray(_ar1_filter(((1.0 - u) * inv_h)[:, ::-1], beta)[:, ::-1])
+        lam2_next = lam2[:, 1:]
         # dL/de_t: directly, through h_{t+1}, and through h_0 = mean(e^2)
-        d_e = (1.0 / h + 2.0 * lam[0] / n) * e
-        d_e[:-1] += (2.0 * alpha) * lam_next * e[:-1]
-        d_c = -float(d_e[1:].sum()) - d_e[0] / (1.0 - phi)
-        d_phi = -float(np.dot(d_e[1:], eps[:-1])) - d_e[0] * c / (1.0 - phi) ** 2
-    # chain rule through _argarch_untransform
-    persistence, share = _sigmoid(theta[3]), _sigmoid(theta[4])
-    d_persistence = persistence * (1.0 - persistence) if persistence < 1.0 - 1e-8 else 0.0
-    persistence = min(persistence, 1.0 - 1e-8)
-    grad = [d_c,
-            d_phi * (1.0 - phi * phi),
-            d_omega * omega if abs(theta[2]) < 700.0 else 0.0,
-            (d_alpha * share + d_beta * (1.0 - share)) * d_persistence,
-            (d_alpha - d_beta) * persistence * share * (1.0 - share)]
-    if not all(map(math.isfinite, [nll, *grad])):
-        return math.inf, np.zeros(5)
-    return nll, np.array(grad)
-
-
-def _sigmoid(x):
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _logit(p):
-    return math.log(p / (1.0 - p))
-
-
-def _argarch_transform(c, phi, omega, alpha, beta):
-    """Map constrained parameters to an unconstrained search space."""
-    persistence = alpha + beta
-    share = alpha / persistence if persistence > 0 else 0.5
-    persistence = min(max(persistence, 1e-6), 1.0 - 1e-6)
-    share = min(max(share, 1e-6), 1.0 - 1e-6)
-    return np.array([c, math.atanh(max(min(phi, 0.999), -0.999)),
-                     math.log(omega), _logit(persistence), _logit(share)])
+        d_e = (inv_h + lam2[:, :1] / n) * e
+        d_e[:, :-1] += alpha[:, None] * lam2_next * e[:, :-1]
+        grad = np.empty(theta.shape)
+        grad[:, 0] = -d_e[:, 1:].sum(axis=1) - d_e[:, 0] / (1.0 - phi)
+        grad[:, 1] = (-(d_e[:, 1:] * eps[:, :-1]).sum(axis=1)
+                      - d_e[:, 0] * c / (1.0 - phi) ** 2) * (1.0 - phi * phi)
+        d_omega = 0.5 * lam2_next.sum(axis=1)
+        d_alpha = 0.5 * (lam2_next * e2[:, :-1]).sum(axis=1)
+        d_beta = 0.5 * (lam2_next * h[:, :-1]).sum(axis=1)
+        # chain rule through _argarch_untransform
+        persistence, share = expit(theta[:, 3]), expit(theta[:, 4])
+        grad[:, 2] = np.where(np.abs(theta[:, 2]) < 700.0, d_omega * omega, 0.0)
+        grad[:, 3] = (d_alpha * share + d_beta * (1.0 - share)) * np.where(
+            persistence < 1.0 - 1e-8, persistence * (1.0 - persistence), 0.0)
+        grad[:, 4] = ((d_alpha - d_beta) * np.minimum(persistence, 1.0 - 1e-8)
+                      * share * (1.0 - share))
+        bad = ~np.isfinite(nll + grad.sum(axis=1))
+    if bad.any():
+        nll[bad] = math.inf
+        grad[bad] = 0.0
+    return nll, grad
 
 
 def _argarch_untransform(theta):
-    c = theta[0]
-    phi = math.tanh(theta[1])
-    omega = math.exp(min(max(theta[2], -700.0), 700.0))
+    """(c, phi, omega, alpha, beta) from transformed parameters ``theta`` (..., 5)."""
+    c = theta[..., 0]
     # keep strictly inside the parameter space even when the search saturates
-    persistence = min(_sigmoid(theta[3]), 1.0 - 1e-8)
-    share = _sigmoid(theta[4])
-    phi = max(min(phi, 1.0 - 1e-12), -1.0 + 1e-12)
+    phi = np.minimum(np.maximum(np.tanh(theta[..., 1]), -1.0 + 1e-12), 1.0 - 1e-12)
+    omega = np.exp(np.minimum(np.maximum(theta[..., 2], -700.0), 700.0))
+    persistence = np.minimum(expit(theta[..., 3]), 1.0 - 1e-8)
+    share = expit(theta[..., 4])
     return c, phi, omega, persistence * share, persistence * (1.0 - share)
 
 
-def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
-    """Fit AR(1)-GARCH(1,1) by Gaussian QMLE with L-BFGS-B.
+def _argarch_start(eps: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Moment-based transformed start per row of the (H, n) windows ``eps``.
 
-    The search runs in a transformed unconstrained space so the stationarity
-    and positivity constraints hold by construction, and uses the analytic
-    gradient of the likelihood.  It starts from moment estimates; up to 4
-    seeded, jittered restarts follow a search that does not converge.  Raises
-    ``FitError`` when all 5 searches fail to converge.
+    phi from the lag-1 autocorrelation, c from the mean, and the GARCH part
+    at (omega, alpha, beta) = (0.1*var, 0.05, 0.9).
     """
-    eps = np.asarray(eps, dtype=float)
-    n = eps.size
-    if n < _MIN_ARGARCH_WINDOW:
-        raise FitError(f"AR-GARCH needs >= {_MIN_ARGARCH_WINDOW} observations, got {n}")
-    var = float(np.var(eps))
-    if var <= 0.0:
-        raise FitError("constant input series: AR-GARCH fit is undefined")
+    mean = eps.mean(axis=1)
+    demeaned = eps - mean[:, None]
+    phi = np.clip((demeaned[:, 1:] * demeaned[:, :-1]).sum(axis=1)
+                  / (demeaned * demeaned).sum(axis=1), -0.95, 0.95)
+    persistence, share = 0.05 + 0.9, 0.05 / (0.05 + 0.9)
+    ones = np.ones(eps.shape[0])
+    return np.column_stack([mean * (1.0 - phi), np.arctanh(phi), np.log(0.1 * var),
+                            math.log(persistence / (1.0 - persistence)) * ones,
+                            math.log(share / (1.0 - share)) * ones])
 
-    # moment-based start: phi from lag-1 autocorrelation, GARCH at (0.1*var, 0.05, 0.9)
-    demeaned = eps - eps.mean()
-    phi0 = float(np.dot(demeaned[1:], demeaned[:-1]) / np.dot(demeaned, demeaned))
-    phi0 = max(min(phi0, 0.95), -0.95)
-    c0 = float(eps.mean()) * (1.0 - phi0)
-    theta0 = _argarch_transform(c0, phi0, 0.1 * var, 0.05, 0.9)
 
+def _bfgs(fun, x0, args, h0):
+    """Minimize k independent objectives at once by BFGS.
+
+    ``fun(x, args)`` takes parameter rows x (j, d) and the matching rows of
+    ``args`` and returns the j objective values and their (j, d) gradients.
+    ``h0`` (k, d) is the diagonal of each row's initial inverse Hessian, the
+    metric of the first step.  Every row keeps its own inverse-Hessian
+    approximation and line search, and each call passes only the rows still
+    searching, so no row's result depends on the other rows.  The line
+    search backtracks from the full step (a step of unit length in the h0
+    metric on the first iteration) to the minimizer of a quadratic
+    interpolant, kept in [0.1, 0.5] times the last trial, until the Armijo
+    condition holds.  After the first step the inverse Hessian restarts from
+    diag(h0) scaled by s'y/y'diag(h0)y; the update is skipped when
+    s'y <= 1e-10 |s||y|, and a direction that is not a finite descent
+    direction restarts from diag(h0).  A row converges when
+    max |gradient| <= _GTOL or an accepted step lowers its objective by a
+    relative _FTOL or less.  It fails when its objective is not finite at
+    x0, when backtracking no longer moves it, or when it reaches _MAXITER
+    iterations.
+
+    Returns (x, f, converged), with x (k, d) and f and converged (k,).
+    """
+    x_out = np.array(x0, dtype=float)
+    k, d = x_out.shape
+    f_out, g = fun(x_out, args)
+    converged = np.max(np.abs(g), axis=1) <= _GTOL
+    diag = np.asarray(h0, dtype=float)[:, :, None] * np.eye(d)
+    p = -h0 * g
+    slope = (g * p).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        step = np.minimum(1.0, 1.0 / np.sqrt(-slope))
+    # the search state holds only the rows still searching, in ``rows`` order
+    keep = np.isfinite(f_out) & np.isfinite(slope) & ~converged
+    rows = np.flatnonzero(keep)
+    x, f, g, p, slope, step, diag, args = (
+        v[keep] for v in (x_out, f_out, g, p, slope, step, diag, args))
+    hinv, nit = diag, np.zeros(rows.size, dtype=int)
+    while rows.size:
+        trial = x + step[:, None] * p
+        f_new, g_new = fun(trial, args)
+        ok = f_new <= f + 1e-4 * step * slope
+        accepted, rejected = ok.any(), not ok.all()
+        finished = np.zeros(rows.size, dtype=bool)
+        with np.errstate(all="ignore"):
+            if rejected:
+                # backtrack; a step that no longer moves x ends the search
+                t_back = np.minimum(np.maximum(
+                    -slope * step * step / (2.0 * (f_new - f - slope * step)), 0.1 * step),
+                    0.5 * step)
+                finished |= ~ok & ~(np.isfinite(t_back)
+                                    & np.any(x + t_back[:, None] * p != x, axis=1))
+            if accepted:
+                nit += ok
+                s, y = step[:, None] * p, g_new - g
+                sy = (s * y).sum(axis=1)
+                curved = sy > 1e-10 * np.sqrt((s * s).sum(axis=1) * (y * y).sum(axis=1))
+                h = hinv
+                first = curved & (nit == 1)
+                if first.any():
+                    ydy = (y * (diag * y[:, None, :]).sum(axis=2)).sum(axis=1)
+                    h = np.where(first[:, None, None], (sy / ydy)[:, None, None] * diag, h)
+                hy = (h * y[:, None, :]).sum(axis=2)
+                h = np.where(curved[:, None, None],
+                             h + (((sy + (y * hy).sum(axis=1)) / (sy * sy))[:, None, None]
+                                  * (s[:, :, None] * s[:, None, :])
+                                  - (hy[:, :, None] * s[:, None, :]
+                                     + s[:, :, None] * hy[:, None, :]) / sy[:, None, None]), h)
+                p_new = -(h * g_new[:, None, :]).sum(axis=2)
+                slope_new = (g_new * p_new).sum(axis=1)
+                reset = ~(np.isfinite(slope_new) & (slope_new < 0.0))
+                if reset.any():
+                    h = np.where(reset[:, None, None], diag, h)
+                    p_new = np.where(reset[:, None], -(diag * g_new[:, None, :]).sum(axis=2),
+                                     p_new)
+                    slope_new = (g_new * p_new).sum(axis=1)
+                decrease = (f - f_new) / np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+                done = ok & ((np.max(np.abs(g_new), axis=1) <= _GTOL) | (decrease <= _FTOL))
+                converged[rows[done]] = True
+                finished |= done | (nit >= _MAXITER)
+        if not rejected:
+            x, f, g, hinv, p, slope = trial, f_new, g_new, h, p_new, slope_new
+            step = np.ones(rows.size)
+        elif not accepted:
+            step = t_back
+        else:
+            x = np.where(ok[:, None], trial, x)
+            f = np.where(ok, f_new, f)
+            g = np.where(ok[:, None], g_new, g)
+            hinv = np.where(ok[:, None, None], h, hinv)
+            p = np.where(ok[:, None], p_new, p)
+            slope = np.where(ok, slope_new, slope)
+            step = np.where(ok, 1.0, t_back)
+        if finished.any():
+            x_out[rows[finished]], f_out[rows[finished]] = x[finished], f[finished]
+            keep = ~finished
+            rows, x, f, g, p, slope, step, hinv, diag, nit, args = (
+                v[keep] for v in (rows, x, f, g, p, slope, step, hinv, diag, nit, args))
+    return x_out, f_out, converged
+
+
+def _argarch_lbfgsb(eps: np.ndarray, theta0: np.ndarray, seed: int):
+    """One hour's L-BFGS-B search from ``theta0``, then up to 4 seeded, jittered restarts.
+
+    Returns the OptimizeResult with the lowest NLL and whether a search converged.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
     best = None
     start = theta0
@@ -215,29 +366,81 @@ def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
         if best is None or res.fun < best.fun:
             best = res
         if res.success:
-            break
+            return best, True
         scale = np.maximum(np.abs(best.x), 1.0)
         start = best.x + 0.1 * scale * rng.standard_normal(best.x.size)
-    else:
-        raise FitError(f"AR-GARCH QMLE did not converge after 5 attempts: {best.message}")
+    return best, False
 
-    c, phi, omega, alpha, beta = _argarch_untransform(best.x)
-    try:
-        params = ArGarchParams(c, phi, omega, alpha, beta)
-    except ValueError as exc:
-        raise FitError(f"AR-GARCH estimate outside parameter space: {exc}") from None
+
+def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
+    """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to an (n,) or (n, H) window.
+
+    Each column is one hour's series.  The search runs in a transformed
+    unconstrained space, so the stationarity and positivity constraints hold
+    by construction, and uses the analytic gradient of the likelihood.  It
+    starts from moment estimates and runs BFGS on all hours at once; an hour
+    whose search does not converge (see ``_bfgs``) is searched again by
+    L-BFGS-B from the same start, with up to 4 seeded, jittered restarts.
+    Raises ``FitError``, naming the hours, when all 5 of an hour's L-BFGS-B
+    searches fail to converge.
+
+    Returns ``(params, FilterOutput)``: one ``ArGarchParams`` and (n,) paths
+    for an (n,) window, a list of H and (n, H) paths for an (n, H) one.
+    """
+    eps = np.asarray(eps, dtype=float)
+    rows = _rows(eps)
+    n = rows.shape[1]
+    if n < _MIN_ARGARCH_WINDOW:
+        raise FitError(f"AR-GARCH needs >= {_MIN_ARGARCH_WINDOW} observations, got {n}")
+    var = np.var(rows, axis=1)
+    if np.any(var <= 0.0):
+        raise FitError(f"constant input series{_hours(eps, np.flatnonzero(var <= 0.0))}: "
+                       "AR-GARCH fit is undefined")
+
+    theta0 = _argarch_start(rows, var)
+    # the first step's metric scales c with the data, so the search path
+    # does not depend on the units of the errors
+    h0 = np.ones(theta0.shape)
+    h0[:, 0] = var
+    theta, _, converged = _bfgs(_argarch_objective, theta0, rows, h0)
+    failed, messages = [], []
+    for h in np.flatnonzero(~converged):
+        res, ok = _argarch_lbfgsb(rows[h], theta0[h], seed)
+        theta[h] = res.x
+        if not ok:
+            failed.append(h)
+            messages.append(res.message)
+    if failed:
+        raise FitError(f"AR-GARCH QMLE did not converge after 5 attempts"
+                       f"{_hours(eps, failed)}: {messages[0]}")
+
+    params = []
+    for h, values in enumerate(zip(*(v.tolist() for v in _argarch_untransform(theta)))):
+        try:
+            params.append(ArGarchParams(*values))
+        except ValueError as exc:
+            raise FitError(f"AR-GARCH estimate outside parameter space"
+                           f"{_hours(eps, [h])}: {exc}") from None
+    if eps.ndim == 1:
+        return params[0], argarch_output(eps, params[0])
     return params, argarch_output(eps, params)
 
 
-def argarch_output(eps: np.ndarray, params: ArGarchParams) -> FilterOutput:
-    """Filtered paths and one-step forecast for given AR-GARCH parameters."""
+def argarch_output(eps: np.ndarray, params) -> FilterOutput:
+    """Filtered paths and one-step forecasts for given AR-GARCH parameters.
+
+    ``params`` is one ``ArGarchParams`` for an (n,) window and a sequence of
+    one per column for an (n, H) window.
+    """
     eps = np.asarray(eps, dtype=float)
-    e, h = _argarch_paths(eps, params.c, params.phi, params.omega,
-                          params.alpha, params.beta)
+    plist = _per_hour(eps, params)
+    c, phi, omega, alpha, beta = (np.array(v) for v in zip(
+        *((p.c, p.phi, p.omega, p.alpha, p.beta) for p in plist)))
+    rows = _rows(eps)
+    e, h = _argarch_paths(rows, c, phi, omega, alpha, beta)
     sigma = np.sqrt(h)
-    mu_next = params.c + params.phi * eps[-1]
-    return FilterOutput(eps - e, sigma[:-1], e / sigma[:-1],
-                        (float(mu_next), float(sigma[-1])))
+    return _output(eps, rows - e, sigma[:, :-1], e / sigma[:, :-1],
+                   c + phi * rows[:, -1], sigma[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -257,72 +460,102 @@ def fit_sarima(eps: np.ndarray, seasonal_period: int = 7) -> tuple:
     The model has one AR coefficient at lag 1 and one seasonal AR coefficient
     at lag ``seasonal_period``; with no MA terms, conditional least squares on
     the multiplicative representation is exact.  The residual standard
-    deviation serves as the constant sigma path.
+    deviation serves as the constant sigma path.  An (n, H) window is fitted
+    column by column and returns a list of H params and (n, H) paths.
     """
     eps = np.asarray(eps, dtype=float)
+    rows = _rows(eps)
     s = int(seasonal_period)
-    if eps.size < 3 * s:
-        raise FitError(f"seasonal AR needs >= {3 * s} observations, got {eps.size}")
-    if np.var(eps) <= 0.0:
-        raise FitError("constant input series: seasonal AR fit is undefined")
+    if rows.shape[1] < 3 * s:
+        raise FitError(f"seasonal AR needs >= {3 * s} observations, got {rows.shape[1]}")
+    constant = np.flatnonzero(np.var(rows, axis=1) <= 0.0)
+    if constant.size:
+        raise FitError(f"constant input series{_hours(eps, constant)}: "
+                       "seasonal AR fit is undefined")
 
-    res = optimize.least_squares(_sarima_residuals, x0=np.array([eps.mean(), 0.0, 0.0]),
-                                 args=(eps, s), method="lm")
-    if not res.success:
-        raise FitError("seasonal AR conditional least squares did not converge")
-    c, phi1, sphi = res.x
-    resid = _sarima_residuals(res.x, eps, s)
-    sigma = float(np.std(resid, ddof=1))
-    if not sigma > 0:
-        raise FitError("degenerate residuals in seasonal AR fit")
-    try:
-        params = SarimaParams(float(c), float(phi1), float(sphi), sigma, s)
-    except ValueError as exc:
-        raise FitError(f"seasonal AR estimate outside parameter space: {exc}") from None
+    params = []
+    for h, row in enumerate(rows):
+        where = _hours(eps, [h])
+        res = optimize.least_squares(_sarima_residuals, x0=np.array([row.mean(), 0.0, 0.0]),
+                                     args=(row, s), method="lm")
+        if not res.success:
+            raise FitError(f"seasonal AR conditional least squares did not converge{where}")
+        c, phi1, sphi = res.x
+        sigma = float(np.std(_sarima_residuals(res.x, row, s), ddof=1))
+        if not sigma > 0:
+            raise FitError(f"degenerate residuals in seasonal AR fit{where}")
+        try:
+            params.append(SarimaParams(float(c), float(phi1), float(sphi), sigma, s))
+        except ValueError as exc:
+            raise FitError(f"seasonal AR estimate outside parameter space{where}: "
+                           f"{exc}") from None
+    if eps.ndim == 1:
+        return params[0], sarima_output(eps, params[0])
     return params, sarima_output(eps, params)
 
 
-def sarima_output(eps: np.ndarray, params: SarimaParams) -> FilterOutput:
-    """Filtered paths and one-step forecast for given seasonal AR parameters."""
+def sarima_output(eps: np.ndarray, params) -> FilterOutput:
+    """Filtered paths and one-step forecasts for given seasonal AR parameters.
+
+    ``params`` is one ``SarimaParams`` for an (n,) window and a sequence of
+    one per column, all with the same seasonal period, for an (n, H) window.
+    """
     eps = np.asarray(eps, dtype=float)
-    s = params.seasonal_period
-    mu = np.full(eps.size, params.c / ((1.0 - params.phi1) * (1.0 - params.seasonal_phi)))
-    if eps.size > s + 1:
-        mu[s + 1:] = (params.c + params.phi1 * eps[s:-1] + params.seasonal_phi * eps[1:-s]
-                      - params.phi1 * params.seasonal_phi * eps[:-s - 1])
-    sigma = np.full(eps.size, params.sigma)
-    mu_next = (params.c + params.phi1 * eps[-1] + params.seasonal_phi * eps[-s]
-               - params.phi1 * params.seasonal_phi * eps[-s - 1])
-    return FilterOutput(mu, sigma, (eps - mu) / sigma, (float(mu_next), params.sigma))
+    plist = _per_hour(eps, params)
+    s = plist[0].seasonal_period
+    c, phi1, sphi, sig = (np.array(v)[:, None] for v in zip(
+        *((p.c, p.phi1, p.seasonal_phi, p.sigma) for p in plist)))
+    rows = _rows(eps)
+    n = rows.shape[1]
+    mu = np.full(rows.shape, c / ((1.0 - phi1) * (1.0 - sphi)))
+    if n > s + 1:
+        mu[:, s + 1:] = (c + phi1 * rows[:, s:-1] + sphi * rows[:, 1:-s]
+                         - phi1 * sphi * rows[:, :-s - 1])
+    sigma = np.full(rows.shape, sig)
+    mu_next = (c + phi1 * rows[:, -1:] + sphi * rows[:, -s:1 - s]
+               - phi1 * sphi * rows[:, -s - 1:-s])
+    return _output(eps, mu, sigma, (rows - mu) / sigma, mu_next[:, 0], sig[:, 0])
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-def fit_filter(errors, spec: FilterSpec, seed: int = 0):
-    """Fit the filter named by ``spec`` to one hour's error window.
+def _raw_output(eps: np.ndarray) -> FilterOutput:
+    hours = eps.shape[1:]
+    return FilterOutput(np.zeros_like(eps), np.ones_like(eps), eps.copy(),
+                        (0.0, 1.0) if not hours else (np.zeros(hours), np.ones(hours)))
 
-    Returns ``(params, FilterOutput)``; ``params`` is None for the raw filter,
-    which is the identity with one-step forecast (0, 1).
+
+def fit_filter(errors, spec: FilterSpec, seed: int = 0):
+    """Fit the filter named by ``spec`` to an (n,) or (n, H) error window.
+
+    Each column of an (n, H) window is one hour, fitted on its own; AR-GARCH
+    fits search all hours at once (see ``fit_argarch``).  Returns
+    ``(params, FilterOutput)``: for an (n,) window one params object and (n,)
+    paths, for an (n, H) window a list of H params and (n, H) paths.  Params
+    are None for the raw filter, which is the identity with one-step
+    forecast (0, 1).
     """
     eps = np.asarray(errors, dtype=float)
-    if eps.ndim != 1 or eps.size < 1:
-        raise FitError("error window must be a non-empty 1-d sequence")
+    if eps.ndim not in (1, 2) or eps.size < 1:
+        raise FitError("error window must be a non-empty (n,) or (n, H) array")
     if spec.kind == RAW:
-        return None, FilterOutput(np.zeros_like(eps), np.ones_like(eps),
-                                  eps.copy(), (0.0, 1.0))
+        return (None if eps.ndim == 1 else [None] * eps.shape[1]), _raw_output(eps)
     if spec.kind == AR_GARCH:
         return fit_argarch(eps, seed=seed)
     return fit_sarima(eps, seasonal_period=spec.seasonal_period)
 
 
 def filter_output(eps, spec: FilterSpec, params) -> FilterOutput:
-    """Recompute filtered paths for an existing parameter estimate."""
+    """Recompute filtered paths for an existing estimate.
+
+    ``eps`` and ``params`` have the shapes ``fit_filter`` takes and returns:
+    an (n,) window with one params object, or an (n, H) window with a list.
+    """
     eps = np.asarray(eps, dtype=float)
     if spec.kind == RAW:
-        return FilterOutput(np.zeros_like(eps), np.ones_like(eps),
-                            eps.copy(), (0.0, 1.0))
+        return _raw_output(eps)
     if spec.kind == AR_GARCH:
         return argarch_output(eps, params)
     return sarima_output(eps, params)

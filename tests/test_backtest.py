@@ -329,6 +329,47 @@ def test_cli_backtest_with_gaussian_pit_of_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_backtest_skips_setting_whose_copula_cannot_be_fitted(tmp_path, capsys):
+    # hour 5's errors are 0.25 for 70 days, so Schaake-P's raw PIT history of
+    # hour 5 is constant on days 60..70 and its Gaussian copula is undefined;
+    # I-P shares its margins, and no other setting fits a copula
+    errors = equicorrelated_normals(75, 0.5, 5)
+    errors[:70, 4] = 0.25
+    settings = ["Schaake-P", "I-P", "Schaake-Raw", "I-Raw"]
+    with pytest.warns(UserWarning) as record:
+        rc = _cli_backtest_on_errors(tmp_path, errors, {
+            "error_window": 60, "margin_window": 20, "dependence_window": 20,
+            "settings": settings,
+            "filters": {"Schaake-P": {"kind": "raw"}, "I-P": {"kind": "raw"}}})
+    assert rc == 0, capsys.readouterr().err
+    skipped = _rows(tmp_path / "out" / "skipped_days.csv")
+    assert skipped and {setting for setting, _ in skipped} == {"Schaake-P"}
+    assert [str(w.message) for w in record] == [
+        f"Schaake-P skipped on {date}: degenerate PIT column (all values equal)"
+        for _, date in skipped]
+    days = {name: [] for name in settings}
+    for date, name, _, _ in _rows(tmp_path / "out" / "scores.csv"):
+        days[name].append(date)
+    assert sorted(days["Schaake-P"] + [date for _, date in skipped]) == days["I-P"]
+    assert all(len(days[name]) == 15 for name in settings[1:])
+    capsys.readouterr()
+
+
+def test_fit_failure_names_block_dates_and_hours():
+    errors = equicorrelated_normals(130, 0.5, 7)
+    errors[:, 2] = 0.5
+    real, fc = panels_from_errors(errors)
+    cfg = small_config(error_window=120, settings=("Schaake-NP", "Schaake-Raw"),
+                       refit_every=10)
+    with pytest.warns(UserWarning) as record:
+        result = run_backtest(real, fc, cfg)
+    assert [str(w.message) for w in record] == [
+        "argarch fit failed for the block starting 2015-05-01 (window 2015-01-01 to "
+        "2015-04-30): constant input series for hours 3: AR-GARCH fit is undefined"]
+    assert len(result.skipped["Schaake-NP"]) == 10
+    assert "Schaake-NP" not in result.scores
+
+
 def test_cli_toy_example(capsys):
     assert cli.main(["toy-example"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from _simulate import argarch_series, rng_for
+from _simulate import argarch_copula_errors, argarch_series, rng_for
 from schaake import filters
 from schaake.filters import (
     AR_GARCH,
@@ -126,13 +126,13 @@ def test_argarch_output_matches_scalar_recursion():
 def test_argarch_fit_improves_on_start_and_truth(monkeypatch):
     eps = argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=11)
     starts = []
-    minimize = optimize.minimize
+    bfgs = filters._bfgs
 
-    def recording_minimize(fun, x0, *args, **kwargs):
-        starts.append(np.array(x0))
-        return minimize(fun, x0, *args, **kwargs)
+    def recording_bfgs(fun, x0, *args):
+        starts.append(np.array(x0[0]))
+        return bfgs(fun, x0, *args)
 
-    monkeypatch.setattr(filters.optimize, "minimize", recording_minimize)
+    monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
     params, _ = fit_argarch(eps)
     fitted = reference_nll(eps, params)
     assert fitted <= filters._argarch_objective(starts[0], eps)[0]
@@ -153,11 +153,15 @@ def test_argarch_refit_is_bit_identical():
 def test_argarch_fails_loudly_without_convergence(monkeypatch):
     calls = []
 
+    def unconverged_bfgs(fun, x0, *args):
+        return x0, np.full(len(x0), math.inf), np.zeros(len(x0), dtype=bool)
+
     def failing_minimize(fun, x0, args=(), **kwargs):
         calls.append(x0)
         return optimize.OptimizeResult(x=np.array(x0), fun=fun(x0, *args)[0],
                                        success=False, message="forced failure")
 
+    monkeypatch.setattr(filters, "_bfgs", unconverged_bfgs)
     monkeypatch.setattr(filters.optimize, "minimize", failing_minimize)
     with pytest.raises(FitError, match="did not converge"):
         fit_argarch(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1))
@@ -174,6 +178,78 @@ def test_argarch_fit_emits_no_numeric_warnings():
         for seed in range(12):
             window = 3.0 * rng_for(400 + seed).standard_normal(364)
             fit_argarch(window, seed=seed)
+        fit_argarch(3.0 * rng_for(450).standard_normal((364, 12)), seed=12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(garch=st.lists(st.booleans(), min_size=1, max_size=6), seed=st.integers(0, 2**16),
+       n=st.integers(100, 200), data=st.data())
+def test_argarch_hours_fit_independently(garch, seed, n, data):
+    # an hour's estimate and paths must not depend on the hours fitted with it
+    columns = [argarch_series(n, 0.1, 0.3, 0.1, 0.1, 0.8, seed=seed + i) if g
+               else 2.0 * rng_for(seed + i).standard_normal(n) for i, g in enumerate(garch)]
+    order = data.draw(st.permutations(range(len(columns))))
+    params, out = fit_filter(np.column_stack([columns[i] for i in order]),
+                             FilterSpec(AR_GARCH), seed=seed)
+    assert len(params) == len(columns)
+    for j, i in enumerate(order):
+        alone, out_alone = fit_filter(columns[i], FilterSpec(AR_GARCH), seed=seed)
+        assert params[j] == alone
+        for batch, single in ((out.mu_hat, out_alone.mu_hat), (out.sigma_hat, out_alone.sigma_hat),
+                              (out.z, out_alone.z)):
+            assert np.array_equal(batch[:, j], single)
+        assert (out.one_step[0][j], out.one_step[1][j]) == out_alone.one_step
+
+
+def test_argarch_batch_fit_is_no_worse_than_lbfgsb():
+    # every hour's NLL is at most that of the per-hour L-BFGS-B search from the
+    # same start, plus 1e-9 nat/obs
+    for seed in range(4):
+        window = argarch_copula_errors(364, 0.6, seed=900 + seed)
+        params, _ = fit_argarch(window)
+        rows = np.ascontiguousarray(window.T)
+        theta0 = filters._argarch_start(rows, rows.var(axis=1))
+        for h, p in enumerate(params):
+            res, converged = filters._argarch_lbfgsb(rows[h], theta0[h], 0)
+            assert converged
+            lbfgsb = ArGarchParams(*map(float, filters._argarch_untransform(res.x)))
+            assert reference_nll(rows[h], p) <= reference_nll(rows[h], lbfgsb) + 1e-9 * 364
+
+
+def test_argarch_batch_names_failed_hours(monkeypatch):
+    window = argarch_copula_errors(200, 0.6, seed=5)[:, :6]
+    window[:, [1, 4]] = 2.0
+    with pytest.raises(FitError, match="constant input series for hours 2, 5"):
+        fit_argarch(window)
+
+    bfgs = filters._bfgs
+
+    def hour_3_unconverged(fun, x0, *args):
+        x, f, converged = bfgs(fun, x0, *args)
+        converged[2] = False
+        return x, f, converged
+
+    def failing_minimize(fun, x0, args=(), **kwargs):
+        return optimize.OptimizeResult(x=np.array(x0), fun=fun(x0, *args)[0],
+                                       success=False, message="forced failure")
+
+    monkeypatch.setattr(filters, "_bfgs", hour_3_unconverged)
+    monkeypatch.setattr(filters.optimize, "minimize", failing_minimize)
+    with pytest.raises(FitError, match="did not converge after 5 attempts for hours 3: forced"):
+        fit_argarch(argarch_copula_errors(200, 0.6, seed=5)[:, :6])
+
+
+def test_filter_outputs_of_a_window_match_its_columns():
+    window = argarch_copula_errors(150, 0.6, seed=6)[:, :5]
+    for spec in (FilterSpec(RAW), FilterSpec(AR_GARCH), FilterSpec(SARIMA, seasonal_period=7)):
+        params, out = fit_filter(window, spec)
+        assert out.z.shape == window.shape and out.z.flags.c_contiguous
+        for h in range(window.shape[1]):
+            single = filters.filter_output(window[:, h], spec, params[h])
+            assert np.array_equal(out.mu_hat[:, h], single.mu_hat)
+            assert np.array_equal(out.sigma_hat[:, h], single.sigma_hat)
+            assert np.array_equal(out.z[:, h], single.z)
+            assert (out.one_step[0][h], out.one_step[1][h]) == single.one_step
 
 
 def test_argarch_rejects_short_or_constant_input():
