@@ -23,6 +23,7 @@ import concurrent.futures
 import datetime
 import hashlib
 import json
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -71,10 +72,19 @@ class BacktestConfig:
     refit_every: int = 1
 
     def __post_init__(self):
+        for key in ("error_window", "margin_window", "dependence_window", "seed",
+                    "refit_every"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(self.settings, (list, tuple)):
+            raise ConfigError(f"settings must be a list of setting names, got {self.settings!r}")
         object.__setattr__(self, "settings", tuple(self.settings))
-        for name in self.settings:
-            if name not in SETTING_TABLE:
+        for name in (*self.settings, *self.filter_overrides):
+            if not isinstance(name, str) or name not in SETTING_TABLE:
                 raise ConfigError(f"unknown setting {name!r}; known: {sorted(SETTING_TABLE)}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.dependence_window < 2:
             raise ConfigError("dependence_window must be >= 2")
         if self.margin_window < 1 or self.error_window < 1:
@@ -100,27 +110,45 @@ class BacktestConfig:
 
     @classmethod
     def from_json(cls, source) -> "BacktestConfig":
-        """Build a config from a JSON file path or an already-parsed dict."""
-        if isinstance(source, dict):
-            raw = dict(source)
-        else:
-            with open(source, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        overrides = {}
-        for name, spec in raw.pop("filters", {}).items():
-            overrides[name] = filters.FilterSpec(
-                kind=spec["kind"], seasonal_period=spec.get("seasonal_period", 7))
-        for key in ("eval_start", "eval_end"):
-            if raw.get(key) is not None:
-                raw[key] = datetime.date.fromisoformat(raw[key])
-        known = {"error_window", "margin_window", "dependence_window", "settings",
-                 "seed", "eval_start", "eval_end", "refit_every"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "settings" in raw:
-            raw["settings"] = tuple(raw["settings"])
-        return cls(filter_overrides=overrides, **raw)
+        """Build a config from a JSON file path or an already-parsed dict.
+
+        An invalid config raises ``ConfigError`` naming the file and the key.
+        """
+        where = "config" if isinstance(source, dict) else str(source)
+        try:
+            if isinstance(source, dict):
+                raw = dict(source)
+            else:
+                with open(source, encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError("a config must be a JSON object")
+            specs, overrides = raw.pop("filters", {}), {}
+            if not isinstance(specs, dict):
+                raise ConfigError(f"filters must map setting names to filter specs, "
+                                  f"got {specs!r}")
+            for name, spec in specs.items():
+                if not (isinstance(spec, dict) and "kind" in spec
+                        and set(spec) <= {"kind", "seasonal_period"}):
+                    raise ConfigError(f"filters.{name} must hold 'kind' and optionally "
+                                      f"'seasonal_period', got {spec!r}")
+                try:
+                    overrides[name] = filters.FilterSpec(**spec)
+                except ValueError as exc:
+                    raise ConfigError(f"filters.{name}: {exc}") from None
+            unknown = set(raw) - {"error_window", "margin_window", "dependence_window",
+                                  "settings", "seed", "eval_start", "eval_end", "refit_every"}
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            for key in ("eval_start", "eval_end"):
+                if raw.get(key) is not None:
+                    try:
+                        raw[key] = datetime.date.fromisoformat(raw[key])
+                    except (TypeError, ValueError):
+                        raise ConfigError(f"{key} must be an ISO date, got {raw[key]!r}") from None
+            return cls(filter_overrides=overrides, **raw)
+        except (ConfigError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass

@@ -104,8 +104,6 @@ def _cmd_evaluate(args) -> int:
     scores, rank_arrays, m = {}, {}, None
     for path in args.forecasts:
         fcs = forecast.read_forecasts_csv(path)
-        if not fcs:
-            raise PanelError(f"{path}: no forecasts")
         if m is not None and fcs[0].m != m:
             raise PanelError(f"{path}: {fcs[0].m} members per day, earlier files have {m}")
         m = fcs[0].m

@@ -51,19 +51,6 @@ def empirical_rank_matrix(pits: np.ndarray) -> np.ndarray:
     return _ordinal_ranks(pits)
 
 
-def empirical_copula(ranks: np.ndarray, indices) -> float:
-    """Value of the empirical copula at the grid point (i_1/m, ..., i_H/m).
-
-    ``indices`` holds the integer thresholds i_h in 0..m; the value is the
-    fraction of training rows whose ranks are simultaneously below them.
-    """
-    ranks = np.asarray(ranks)
-    indices = np.asarray(indices)
-    if indices.shape != (ranks.shape[1],):
-        raise CopulaError("need one threshold per column")
-    return float(np.mean(np.all(ranks <= indices, axis=1)))
-
-
 def fit_gaussian_copula(pits: np.ndarray) -> np.ndarray:
     """Correlation matrix of a Gaussian copula fitted by rank correlation.
 

@@ -5,25 +5,25 @@ estimated by Gaussian quasi-maximum likelihood, and a seasonal AR model
 (one regular and one seasonal AR coefficient, homoskedastic residuals)
 estimated by conditional least squares.  A fit takes one hour's (n,) error
 window or an (n, H) window of H hours, each column fitted on its own.  It
-yields conditional mean and standard deviation paths over the learning
-window, the standardized residuals, and a one-step-ahead (mu, sigma)
-forecast for the target day; an (n, H) window gives (n, H) paths and (H,)
-forecasts.
+yields the conditional standard deviation path over the learning window,
+the standardized residuals, and a one-step-ahead (mu, sigma) forecast for
+the target day; an (n, H) window gives (n, H) paths and (H,) forecasts.
 
 The AR-GARCH likelihoods of all H hours are evaluated together: the
 variance recursion runs as one linear filter call per hour and its gradient
 as one more, run backwards (the adjoint method).  One BFGS search with a
-backtracking Armijo line search minimizes the H likelihoods at once; every
-hour keeps its own search state and sees only its own column, so an hour's
-estimate does not depend on which hours share its window.  An hour whose
-search does not converge (within 500 iterations, or because its line search
-stalls) is searched again by L-BFGS-B from the same start, with seeded
-restarts.  A fit whose 5 L-BFGS-B searches for some hour all fail to
-converge raises ``FitError``; the backtest skips that day.
+backtracking Armijo line search fits the H hours at once; every hour keeps
+its own search state and sees only its own column, so an hour's estimate
+does not depend on which hours share its window.  An hour whose search does
+not converge (within 500 iterations, or because its line search stalls) is
+searched again by the same BFGS, from its best point plus a seeded jitter,
+up to 4 times.  A fit with an hour whose 5 searches all fail to converge
+raises ``FitError``; the backtest skips that day.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +36,13 @@ SARIMA = "sarima"
 
 _MIN_ARGARCH_WINDOW = 100
 _ONE = np.ones(1)
-# BFGS stopping rules: L-BFGS-B's maxiter and gtol, and a relative decrease
-# 100x below its ftol of 1e-12, which stopped BFGS early on the flat
-# alpha -> 0 ridge of the likelihood
+# BFGS stopping rules (see _bfgs); a relative decrease of 1e-12 instead of
+# _FTOL stopped early on the flat alpha -> 0 ridge of the likelihood.  An
+# unconverged hour gets up to _RESTARTS more searches.
 _MAXITER = 500
 _GTOL = 1e-8
 _FTOL = 1e-14
+_RESTARTS = 4
 
 
 class FitError(RuntimeError):
@@ -56,8 +57,10 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in (RAW, AR_GARCH, SARIMA):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.kind == SARIMA and self.seasonal_period < 2:
-            raise ValueError("seasonal_period must be >= 2")
+        if self.kind == SARIMA and not (isinstance(self.seasonal_period, numbers.Integral)
+                                        and self.seasonal_period >= 2):
+            raise ValueError(f"seasonal_period must be an integer >= 2, "
+                             f"got {self.seasonal_period!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,6 @@ class FilterOutput:
     for an (n, H) window the paths are (n, H) and ``one_step`` two (H,) arrays.
     """
 
-    mu_hat: np.ndarray
     sigma_hat: np.ndarray
     z: np.ndarray
     one_step: tuple  # (mu, sigma) for the target day
@@ -111,12 +113,12 @@ def _rows(eps: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(eps.reshape(eps.shape[0], -1).T)
 
 
-def _output(eps, mu, sigma, z, mu_next, sigma_next) -> FilterOutput:
+def _output(eps, sigma, z, mu_next, sigma_next) -> FilterOutput:
     """FilterOutput shaped like ``eps`` from (H, n) paths and (H,) forecasts."""
     if eps.ndim == 1:
-        return FilterOutput(mu[0], sigma[0], z[0], (float(mu_next[0]), float(sigma_next[0])))
-    return FilterOutput(np.ascontiguousarray(mu.T), np.ascontiguousarray(sigma.T),
-                        np.ascontiguousarray(z.T), (mu_next, sigma_next))
+        return FilterOutput(sigma[0], z[0], (float(mu_next[0]), float(sigma_next[0])))
+    return FilterOutput(np.ascontiguousarray(sigma.T), np.ascontiguousarray(z.T),
+                        (mu_next, sigma_next))
 
 
 def _per_hour(eps: np.ndarray, params):
@@ -176,15 +178,11 @@ def _argarch_objective(theta, eps):
 
     ``theta`` is (H, 5), one transformed parameter vector per hour, and
     ``eps`` (H, n), one error window per row; returns the (H,) NLLs and the
-    (H, 5) gradients.  A (5,) ``theta`` with an (n,) window returns a float
-    and a (5,) gradient.  The gradient runs the variance recursion backwards
+    (H, 5) gradients.  The gradient runs the variance recursion backwards
     (the adjoint): lam_t = dL/dh_t + beta*lam_{t+1} is the total derivative
     of the likelihood with respect to h_t, including its effect on later
     variances.  Hours where the likelihood is not finite return (inf, 0).
     """
-    if theta.ndim == 1:
-        nll, grad = _argarch_objective(theta[None], eps[None])
-        return float(nll[0]), grad[0]
     c, phi, omega, alpha, beta = _argarch_untransform(theta)
     n = eps.shape[1]
     with np.errstate(all="ignore"):
@@ -259,7 +257,7 @@ def _bfgs(fun, x0, args, h0):
     approximation and line search, and each call passes only the rows still
     searching, so no row's result depends on the other rows.  The line
     search backtracks from the full step (a step of unit length in the h0
-    metric on the first iteration) to the minimizer of a quadratic
+    metric on the first iteration) to the argmin of a quadratic
     interpolant, kept in [0.1, 0.5] times the last trial, until the Armijo
     condition holds.  After the first step the inverse Hessian restarts from
     diag(h0) scaled by s'y/y'diag(h0)y; the update is skipped when
@@ -350,39 +348,19 @@ def _bfgs(fun, x0, args, h0):
     return x_out, f_out, converged
 
 
-def _argarch_lbfgsb(eps: np.ndarray, theta0: np.ndarray, seed: int):
-    """One hour's L-BFGS-B search from ``theta0``, then up to 4 seeded, jittered restarts.
-
-    Returns the OptimizeResult with the lowest NLL and whether a search converged.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    best = None
-    start = theta0
-    for attempt in range(5):
-        res = optimize.minimize(
-            _argarch_objective, start, args=(eps,), jac=True, method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if res.success:
-            return best, True
-        scale = np.maximum(np.abs(best.x), 1.0)
-        start = best.x + 0.1 * scale * rng.standard_normal(best.x.size)
-    return best, False
-
-
 def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to an (n,) or (n, H) window.
 
     Each column is one hour's series.  The search runs in a transformed
     unconstrained space, so the stationarity and positivity constraints hold
     by construction, and uses the analytic gradient of the likelihood.  It
-    starts from moment estimates and runs BFGS on all hours at once; an hour
-    whose search does not converge (see ``_bfgs``) is searched again by
-    L-BFGS-B from the same start, with up to 4 seeded, jittered restarts.
-    Raises ``FitError``, naming the hours, when all 5 of an hour's L-BFGS-B
-    searches fail to converge.
+    starts from moment estimates and runs BFGS on all hours at once.  The
+    hours whose search does not converge (see ``_bfgs``) are searched again,
+    together, up to 4 times, each from its lowest-NLL point theta plus
+    0.1 * max(|theta|, 1) * jitter; the jitters are one (4, 5) standard
+    normal draw from ``Philox(seed)``, the same for every hour.  An hour
+    keeps its lowest-NLL point.  Raises ``FitError``, naming the hours, when
+    all 5 of an hour's searches fail to converge.
 
     Returns ``(params, FilterOutput)``: one ``ArGarchParams`` and (n,) paths
     for an (n,) window, a list of H and (n, H) paths for an (n, H) one.
@@ -402,17 +380,19 @@ def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
     # does not depend on the units of the errors
     h0 = np.ones(theta0.shape)
     h0[:, 0] = var
-    theta, _, converged = _bfgs(_argarch_objective, theta0, rows, h0)
-    failed, messages = [], []
-    for h in np.flatnonzero(~converged):
-        res, ok = _argarch_lbfgsb(rows[h], theta0[h], seed)
-        theta[h] = res.x
-        if not ok:
-            failed.append(h)
-            messages.append(res.message)
-    if failed:
-        raise FitError(f"AR-GARCH QMLE did not converge after 5 attempts"
-                       f"{_hours(eps, failed)}: {messages[0]}")
+    theta, nll, converged = _bfgs(_argarch_objective, theta0, rows, h0)
+    jitter = np.random.Generator(np.random.Philox(seed)).standard_normal((_RESTARTS, 5))
+    for z in jitter:
+        retry = np.flatnonzero(~converged)
+        if not retry.size:
+            break
+        start = theta[retry] + 0.1 * np.maximum(np.abs(theta[retry]), 1.0) * z
+        x, f, converged[retry] = _bfgs(_argarch_objective, start, rows[retry], h0[retry])
+        better = f < nll[retry]
+        theta[retry[better]], nll[retry[better]] = x[better], f[better]
+    if not converged.all():
+        raise FitError(f"AR-GARCH QMLE did not converge after {_RESTARTS + 1} attempts"
+                       f"{_hours(eps, np.flatnonzero(~converged))}")
 
     params = []
     for h, values in enumerate(zip(*(v.tolist() for v in _argarch_untransform(theta)))):
@@ -439,7 +419,7 @@ def argarch_output(eps: np.ndarray, params) -> FilterOutput:
     rows = _rows(eps)
     e, h = _argarch_paths(rows, c, phi, omega, alpha, beta)
     sigma = np.sqrt(h)
-    return _output(eps, rows - e, sigma[:, :-1], e / sigma[:, :-1],
+    return _output(eps, sigma[:, :-1], e / sigma[:, :-1],
                    c + phi * rows[:, -1], sigma[:, -1])
 
 
@@ -514,7 +494,7 @@ def sarima_output(eps: np.ndarray, params) -> FilterOutput:
     sigma = np.full(rows.shape, sig)
     mu_next = (c + phi1 * rows[:, -1:] + sphi * rows[:, -s:1 - s]
                - phi1 * sphi * rows[:, -s - 1:-s])
-    return _output(eps, mu, sigma, (rows - mu) / sigma, mu_next[:, 0], sig[:, 0])
+    return _output(eps, sigma, (rows - mu) / sigma, mu_next[:, 0], sig[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +503,7 @@ def sarima_output(eps: np.ndarray, params) -> FilterOutput:
 
 def _raw_output(eps: np.ndarray) -> FilterOutput:
     hours = eps.shape[1:]
-    return FilterOutput(np.zeros_like(eps), np.ones_like(eps), eps.copy(),
+    return FilterOutput(np.ones_like(eps), eps.copy(),
                         (0.0, 1.0) if not hours else (np.zeros(hours), np.ones(hours)))
 
 

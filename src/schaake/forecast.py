@@ -114,7 +114,8 @@ def read_forecasts_csv(path) -> list:
     """Parse a forecasts CSV written by :func:`write_forecasts_csv`.
 
     Every day must hold members 1..m with one m for all days; malformed rows
-    and days raise :class:`PanelError` naming ``path:line`` (of a day's first row).
+    and days raise :class:`PanelError` naming ``path:line`` (of a day's first row),
+    and a file without rows names ``path``.
     The values of each run of rows with one date are cast to floats in one call.
     """
     dates: dict = {}    # date text -> date
@@ -154,4 +155,6 @@ def read_forecasts_csv(path) -> list:
         if not finite.all():
             raise PanelError(f"{path}:{day[int(np.argmin(finite)) + 1]}: non-finite value")
         out.append(EnsembleForecast(date, members))
+    if not out:
+        raise PanelError(f"{path}: no forecasts")
     return out

@@ -145,11 +145,6 @@ def score_forecasts(forecasts, real):
     return panel, np.array(ranks, dtype=int)
 
 
-def average_rank(ranks) -> float:
-    """Mean of the 24 hourly verification ranks for one day."""
-    return float(np.mean(np.asarray(ranks, dtype=float)))
-
-
 @dataclass(frozen=True)
 class RankHistogram:
     """Bin counts of observed ranks; sums to the number of scored days."""

@@ -210,6 +210,31 @@ def test_cli_backtest_and_evaluate(panel_csvs, tmp_path, capsys):
     assert 0.0 <= float(row.split(",")[2]) <= 1.0
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"filters": {"Schaake-NP": {}}}, "filters.Schaake-NP"),
+    ({"filters": ["x"]}, "filters"),
+    ({"filters": {"Schaake-np": {"kind": "raw"}}}, "'Schaake-np'"),
+    ({"filters": {"Schaake-NP": {"kind": "sarima", "period": 24}}}, "'period'"),
+    ({"filters": {"Schaake-NP": {"kind": "sarima", "seasonal_period": "7"}}},
+     "seasonal_period"),
+    ({"error_window": "120"}, "error_window"),
+    ({"refit_every": 2.5}, "refit_every"),
+    ({"settings": "I-Raw"}, "settings"),
+    ({"seed": -1}, "seed"),
+    ({"eval_start": "2015-13-01"}, "eval_start"),
+])
+def test_cli_backtest_rejects_bad_config(panel_csvs, tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                               "dependence_window": 40, **config}))
+    rc = cli.main(["backtest", "--real", str(panel_csvs / "real.csv"),
+                   "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"schaake: data error: {cfg}: ") and key in err
+
+
 def test_cli_backtest_writes_setting_whose_every_day_was_skipped(panel_csvs, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     # a seasonal AR with period 50 needs 150 days, more than the 120-day window
@@ -228,6 +253,13 @@ def test_cli_backtest_writes_setting_whose_every_day_was_skipped(panel_csvs, tmp
     assert len(_rows(out_dir / "skipped_days.csv")) == 6
     assert {row[1] for row in _rows(out_dir / "scores.csv")} == {"Schaake-Raw"}
     capsys.readouterr()
+    # the header-only file is refused by name
+    empty = out_dir / "forecasts_Schaake-NP.csv"
+    for command in (["slp"], ["evaluate", "--out-dir", str(tmp_path / "eval")]):
+        rc = cli.main(command + ["--real", str(panel_csvs / "real.csv"),
+                                 "--forecasts", str(empty)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"schaake: data error: {empty}: no forecasts\n"
 
 
 def _rows(path):

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +11,6 @@ from schaake.backtest import TOY_RANK_MATRIX
 from schaake.copula import (
     CopulaError,
     _nearest_correlation,
-    empirical_copula,
     empirical_rank_matrix,
     fit_gaussian_copula,
     is_rank_matrix,
@@ -50,17 +47,6 @@ def test_rank_columns_are_permutations():
 def test_ties_break_to_earlier_day():
     pits = np.array([[0.5], [0.5], [0.2]])
     assert list(empirical_rank_matrix(pits)[:, 0]) == [2, 3, 1]
-
-
-def test_empirical_copula_matches_brute_force():
-    rng = rng_for(3)
-    pits = rng.uniform(0.01, 0.99, size=(5, 3))
-    ranks = empirical_rank_matrix(pits)
-    m = 5
-    for idx in itertools.product(range(m + 1), repeat=3):
-        # brute force: count training rows dominated at every coordinate
-        count = sum(all(ranks[t, d] <= idx[d] for d in range(3)) for t in range(m))
-        assert empirical_copula(ranks, np.array(idx)) == pytest.approx(count / m)
 
 
 def test_gaussian_fit_under_independence():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from _simulate import argarch_copula_errors, argarch_series, rng_for
+from _simulate import argarch_copula_errors, argarch_series, equicorrelated_normals, rng_for
 from schaake import filters
 from schaake.filters import (
     AR_GARCH,
@@ -56,7 +56,7 @@ def test_raw_filter_is_identity():
     params, out = fit_filter(eps, FilterSpec(RAW))
     assert params is None
     assert np.array_equal(out.z, eps)
-    assert np.all(out.mu_hat == 0.0) and np.all(out.sigma_hat == 1.0)
+    assert np.all(out.sigma_hat == 1.0)
     assert out.one_step == (0.0, 1.0)
 
 
@@ -104,12 +104,12 @@ def test_argarch_objective_value_and_gradient(theta, seed, n, scale, garch):
     else:
         eps = scale * rng_for(seed).standard_normal(n)
     theta = np.array(theta)
-    nll, grad = filters._argarch_objective(theta, eps)
+    nll, grad = filters._argarch_objective(theta[None], eps[None])
     params = ArGarchParams(*filters._argarch_untransform(theta))
-    assert nll == pytest.approx(reference_nll(eps, params), rel=1e-12)
+    assert nll[0] == pytest.approx(reference_nll(eps, params), rel=1e-12)
     numeric = optimize.approx_fprime(
-        theta, lambda t: filters._argarch_objective(t, eps)[0], 1e-7)
-    assert np.linalg.norm(grad - numeric) <= 1e-4 * max(np.linalg.norm(numeric), 1.0)
+        theta, lambda t: filters._argarch_objective(t[None], eps[None])[0][0], 1e-7)
+    assert np.linalg.norm(grad[0] - numeric) <= 1e-4 * max(np.linalg.norm(numeric), 1.0)
 
 
 def test_argarch_output_matches_scalar_recursion():
@@ -135,7 +135,7 @@ def test_argarch_fit_improves_on_start_and_truth(monkeypatch):
     monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
     params, _ = fit_argarch(eps)
     fitted = reference_nll(eps, params)
-    assert fitted <= filters._argarch_objective(starts[0], eps)[0]
+    assert fitted <= filters._argarch_objective(starts[0][None], eps[None])[0][0]
     assert fitted <= reference_nll(eps, ArGarchParams(0.0, 0.3, 0.1, 0.1, 0.8))
 
 
@@ -144,8 +144,7 @@ def test_argarch_refit_is_bit_identical():
     p1, out1 = fit_argarch(eps, seed=3)
     p2, out2 = fit_argarch(eps, seed=3)
     assert p1 == p2
-    for a, b in ((out1.mu_hat, out2.mu_hat), (out1.sigma_hat, out2.sigma_hat),
-                 (out1.z, out2.z)):
+    for a, b in ((out1.sigma_hat, out2.sigma_hat), (out1.z, out2.z)):
         assert np.array_equal(a, b)
     assert out1.one_step == out2.one_step
 
@@ -154,16 +153,11 @@ def test_argarch_fails_loudly_without_convergence(monkeypatch):
     calls = []
 
     def unconverged_bfgs(fun, x0, *args):
+        calls.append(x0)
         return x0, np.full(len(x0), math.inf), np.zeros(len(x0), dtype=bool)
 
-    def failing_minimize(fun, x0, args=(), **kwargs):
-        calls.append(x0)
-        return optimize.OptimizeResult(x=np.array(x0), fun=fun(x0, *args)[0],
-                                       success=False, message="forced failure")
-
     monkeypatch.setattr(filters, "_bfgs", unconverged_bfgs)
-    monkeypatch.setattr(filters.optimize, "minimize", failing_minimize)
-    with pytest.raises(FitError, match="did not converge"):
+    with pytest.raises(FitError, match="did not converge after 5 attempts"):
         fit_argarch(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1))
     assert len(calls) == 5
 
@@ -172,9 +166,9 @@ def test_argarch_fit_emits_no_numeric_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # omega = exp(-700) and alpha = beta = 0: e^2/h overflows
-        nll, grad = filters._argarch_objective(np.array([0.0, 0.0, -700.0, -800.0, 0.0]),
-                                               rng_for(1).standard_normal(364))
-        assert nll == math.inf and not np.any(grad)
+        nll, grad = filters._argarch_objective(np.array([[0.0, 0.0, -700.0, -800.0, 0.0]]),
+                                               rng_for(1).standard_normal((1, 364)))
+        assert nll[0] == math.inf and not np.any(grad)
         for seed in range(12):
             window = 3.0 * rng_for(400 + seed).standard_normal(364)
             fit_argarch(window, seed=seed)
@@ -195,23 +189,32 @@ def test_argarch_hours_fit_independently(garch, seed, n, data):
     for j, i in enumerate(order):
         alone, out_alone = fit_filter(columns[i], FilterSpec(AR_GARCH), seed=seed)
         assert params[j] == alone
-        for batch, single in ((out.mu_hat, out_alone.mu_hat), (out.sigma_hat, out_alone.sigma_hat),
-                              (out.z, out_alone.z)):
+        for batch, single in ((out.sigma_hat, out_alone.sigma_hat), (out.z, out_alone.z)):
             assert np.array_equal(batch[:, j], single)
         assert (out.one_step[0][j], out.one_step[1][j]) == out_alone.one_step
 
 
+def lbfgsb_fit(eps, theta0):
+    """One L-BFGS-B search for one hour's AR-GARCH QMLE, from ``theta0``."""
+    def objective(theta):
+        nll, grad = filters._argarch_objective(theta[None], eps[None])
+        return nll[0], grad[0]
+
+    return optimize.minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                             options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8})
+
+
 def test_argarch_batch_fit_is_no_worse_than_lbfgsb():
-    # every hour's NLL is at most that of the per-hour L-BFGS-B search from the
-    # same start, plus 1e-9 nat/obs
+    # every hour's NLL is at most that of an L-BFGS-B search from the same
+    # start, plus 1e-9 nat/obs
     for seed in range(4):
         window = argarch_copula_errors(364, 0.6, seed=900 + seed)
         params, _ = fit_argarch(window)
         rows = np.ascontiguousarray(window.T)
         theta0 = filters._argarch_start(rows, rows.var(axis=1))
         for h, p in enumerate(params):
-            res, converged = filters._argarch_lbfgsb(rows[h], theta0[h], 0)
-            assert converged
+            res = lbfgsb_fit(rows[h], theta0[h])
+            assert res.success
             lbfgsb = ArGarchParams(*map(float, filters._argarch_untransform(res.x)))
             assert reference_nll(rows[h], p) <= reference_nll(rows[h], lbfgsb) + 1e-9 * 364
 
@@ -222,21 +225,44 @@ def test_argarch_batch_names_failed_hours(monkeypatch):
     with pytest.raises(FitError, match="constant input series for hours 2, 5"):
         fit_argarch(window)
 
+    window = argarch_copula_errors(200, 0.6, seed=5)[:, :6]
     bfgs = filters._bfgs
+    searched = []
 
-    def hour_3_unconverged(fun, x0, *args):
-        x, f, converged = bfgs(fun, x0, *args)
-        converged[2] = False
+    def hour_3_unconverged(fun, x0, args, h0):
+        searched.append(len(x0))
+        x, f, converged = bfgs(fun, x0, args, h0)
+        converged &= ~np.all(args == window[:, 2], axis=1)
         return x, f, converged
 
-    def failing_minimize(fun, x0, args=(), **kwargs):
-        return optimize.OptimizeResult(x=np.array(x0), fun=fun(x0, *args)[0],
-                                       success=False, message="forced failure")
-
     monkeypatch.setattr(filters, "_bfgs", hour_3_unconverged)
-    monkeypatch.setattr(filters.optimize, "minimize", failing_minimize)
-    with pytest.raises(FitError, match="did not converge after 5 attempts for hours 3: forced"):
-        fit_argarch(argarch_copula_errors(200, 0.6, seed=5)[:, :6])
+    with pytest.raises(FitError, match="did not converge after 5 attempts for hours 3$"):
+        fit_argarch(window)
+    # one search of all hours, then 4 restarts of hour 3 alone
+    assert searched == [6, 1, 1, 1, 1]
+
+
+def test_argarch_restarts_a_stalled_hour_with_bfgs(monkeypatch):
+    # hour 8 of this window stalls in its first BFGS search; the restarts
+    # must converge without scipy's optimizers and keep the lowest NLL
+    window = 3.0 * equicorrelated_normals(364, 0.6, seed=2006)
+    bfgs = filters._bfgs
+    searches = []
+
+    def recording_bfgs(fun, x0, args, h0):
+        x, f, converged = bfgs(fun, x0, args, h0)
+        searches.append((f, np.flatnonzero(~converged).tolist()))
+        return x, f, converged
+
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
+    monkeypatch.setattr(optimize, "minimize", no_minimize)
+    params, _ = fit_argarch(window)
+    assert [unconverged for _, unconverged in searches] == [[7], []]
+    stalled_nll = searches[0][0][7]
+    assert reference_nll(window[:, 7], params[7]) <= stalled_nll + 1e-9
 
 
 def test_filter_outputs_of_a_window_match_its_columns():
@@ -246,7 +272,6 @@ def test_filter_outputs_of_a_window_match_its_columns():
         assert out.z.shape == window.shape and out.z.flags.c_contiguous
         for h in range(window.shape[1]):
             single = filters.filter_output(window[:, h], spec, params[h])
-            assert np.array_equal(out.mu_hat[:, h], single.mu_hat)
             assert np.array_equal(out.sigma_hat[:, h], single.sigma_hat)
             assert np.array_equal(out.z[:, h], single.z)
             assert (out.one_step[0][h], out.one_step[1][h]) == single.one_step

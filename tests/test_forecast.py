@@ -186,6 +186,7 @@ DAY1 = ["2020-01-01,1,1.0,2.0", "2020-01-01,2,3.0,4.0"]
     (["date,member,h1,h2", "2020-01-01,1,1.0,x"] + DAY1, r":2: bad values"),
     (["date,member,h1,h2", "2020-01-01,1,1.0,x", "2020-01-01,2,3.0"], r":2: bad values"),
     (["date,member,h1,h2", "2020-01-01,1,1.0,x", "2020-01-02,1,nan,2.0"], r":2: bad values"),
+    (["date,member,h1,h2"], r": no forecasts"),
 ])
 def test_read_forecasts_csv_rejects_malformed_rows(tmp_path, lines, match):
     path = tmp_path / "fc.csv"

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from _simulate import rng_for
 from schaake.scoring import (
     DegenerateScoreDifference,
-    average_rank,
     average_rank_histogram,
     crps_ensemble,
     dm_test,
@@ -186,11 +185,6 @@ def test_verification_ranks_vectorized():
     vec = verification_rank(members, y)
     for t in range(40):
         assert vec[t] == verification_rank(members[:, t], y[t])
-
-
-def test_average_rank():
-    assert average_rank([1] * 24) == 1.0
-    assert average_rank(list(range(1, 25))) == 12.5
 
 
 def test_rank_histogram_counts():
