@@ -199,8 +199,8 @@ class BacktestResult:
     def write_outputs(self, out_dir, jobs: int = 1) -> None:
         """Write the forecast, score, rank-histogram, DM and skipped-day CSVs.
 
-        With ``jobs > 1`` the per-setting forecast files are written on that
-        many processes, one task per file; the bytes do not depend on ``jobs``.
+        With ``jobs > 1`` the per-setting forecast files are written on up to
+        that many processes, one task per file; the bytes do not depend on ``jobs``.
         """
         os.makedirs(out_dir, exist_ok=True)
         _map(_write_forecasts, [(fcs, os.path.join(out_dir, f"forecasts_{setting}.csv"))
@@ -320,11 +320,13 @@ def _write_forecasts(args) -> None:
 
 
 def _map(fn, tasks, jobs: int) -> list:
-    """``[fn(task) for task in tasks]``, on a pool of ``jobs`` processes when jobs > 1."""
-    # the platform's default start method: on Linux workers fork; a spawned
-    # pool re-imports numpy and scipy, which took longer than all the writes
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    """``[fn(task) for task in tasks]``, on a pool of ``min(jobs, len(tasks))`` processes."""
+    # the platform's default start method: on Linux workers fork, all of them
+    # at once; a spawned pool re-imports numpy and scipy, which took longer
+    # than all the writes
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
 

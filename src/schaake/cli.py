@@ -27,6 +27,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _checked(cast, ok, want: str):
+    """An argparse type: ``cast(text)``, a usage error unless ``ok(value)``."""
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{want}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="schaake", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -38,7 +51,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--settings", help="comma-separated subset of settings")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_checked(int, lambda n: n >= 1, "must be >= 1"), default=1)
 
     p = sub.add_parser("toy-example", help="print the built-in worked example")
     p.add_argument("--out", help="optional CSV destination")
@@ -59,7 +72,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--forecasts", required=True, action="append")
     p.add_argument("--real", required=True)
     p.add_argument("--profile", help="profile CSV (hour,weight); default: bundled synthetic profile")
-    p.add_argument("--nominal", type=float, default=0.9333)
+    p.add_argument("--nominal", type=_checked(float, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
+                   default=0.9333)
     p.add_argument("--out", help="optional CSV destination (default: stdout)")
     return parser
 
@@ -99,11 +113,19 @@ def _cmd_toy_example(args) -> int:
     return 0
 
 
+def _check_hours(path, forecasts, n_hours: int, other: str) -> None:
+    """PanelError naming ``path`` unless its forecasts cover ``n_hours`` hours."""
+    if forecasts[0].members.shape[1] != n_hours:
+        raise PanelError(f"{path}: {forecasts[0].members.shape[1]} hours per day, "
+                         f"{other} {n_hours}")
+
+
 def _cmd_evaluate(args) -> int:
     real = load_panel(args.real, role="realization")
     scores, rank_arrays, m = {}, {}, None
     for path in args.forecasts:
         fcs = forecast.read_forecasts_csv(path)
+        _check_hours(path, fcs, real.values.shape[1], "the realizations have")
         if m is not None and fcs[0].m != m:
             raise PanelError(f"{path}: {fcs[0].m} members per day, earlier files have {m}")
         m = fcs[0].m
@@ -137,6 +159,7 @@ def _cmd_slp(args) -> int:
     rows = []
     for path in args.forecasts:
         fcs = forecast.read_forecasts_csv(path)
+        _check_hours(path, fcs, profile.weights.size, "the profile has")
         samples, realized = [], []
         for fc in fcs:
             if fc.date not in date_index:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .copula import CopulaError, is_rank_matrix
 from .margins import MarginModel, quantile
-from .panel import (N_HOURS, FloatCells, PanelError, hour_names, parse_cell, read_rows,
-                    write_number_rows)
+from .panel import (N_HOURS, PanelError, bulk_days, hour_names, parse_cell, read_bulk,
+                    read_rows, write_number_rows)
 
 
 @dataclass(frozen=True)
@@ -116,44 +116,60 @@ def read_forecasts_csv(path) -> list:
     Every day must hold members 1..m with one m for all days; malformed rows
     and days raise :class:`PanelError` naming ``path:line`` (of a day's first row),
     and a file without rows names ``path``.
-    The values of each run of rows with one date are cast to floats in one call.
     """
+    rows = read_bulk(path, ("date", "member"), hourly=True)
+    forecasts = None if rows is None else _bulk_forecasts(rows)
+    return _walk_forecasts(path) if forecasts is None else forecasts
+
+
+def _bulk_forecasts(rows):
+    """Forecasts of a bulk-read file, or None when a check fails."""
+    days = bulk_days(rows["date"])
+    if days is None:
+        return None
+    dates, day = days
+    counts = np.bincount(day)
+    m = int(counts[0])
+    if not ((counts == m).all() and np.isfinite(rows["values"]).all()):
+        return None
+    order = np.lexsort((rows["member"], day)).reshape(len(dates), m)  # day by day
+    if not (rows["member"][order] == np.arange(1, m + 1)).all():
+        return None
+    return [EnsembleForecast(date, rows["values"][rows_of_day])
+            for date, rows_of_day in zip(dates, order)]
+
+
+def _floats(cells) -> list:
+    return [float(cell) for cell in cells]
+
+
+def _walk_forecasts(path) -> list:
+    """:func:`read_forecasts_csv` row by row, raising at the first bad row."""
     dates: dict = {}    # date text -> date
-    lines: dict = {}    # date -> {member: line}, in file order
-    parts: dict = {}    # date -> the value arrays of its runs of rows, in file order
-    values = FloatCells(path, "values")
-    run_date = None
-    try:
-        for lineno, row in read_rows(path, ("date", "member"), hourly=True):
-            date = dates.get(row[0])
-            if date is None:
-                date = dates[row[0]] = parse_cell(datetime.date.fromisoformat, row[0],
-                                                  "date", path, lineno)
-            member = parse_cell(int, row[1], "member", path, lineno)
-            if date != run_date and len(values):
-                parts.setdefault(run_date, []).append(values.take())
-            run_date = date
-            values.add(lineno, row[2:])
-            day = lines.setdefault(date, {})
-            if member in day:
-                raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
-            day[member] = lineno
-    except PanelError:
-        values.take()
-        raise
-    if len(values):
-        parts.setdefault(run_date, []).append(values.take())
+    days: dict = {}     # date -> {member: (line, values)}
+    for lineno, row in read_rows(path, ("date", "member"), hourly=True):
+        date = dates.get(row[0])
+        if date is None:
+            date = dates[row[0]] = parse_cell(datetime.date.fromisoformat, row[0],
+                                              "date", path, lineno)
+        member = parse_cell(int, row[1], "member", path, lineno)
+        values = parse_cell(_floats, row[2:], "values", path, lineno)
+        day = days.setdefault(date, {})
+        if member in day:
+            raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
+        day[member] = lineno, values
     out, m = [], None
-    for date in sorted(lines):
-        day = lines[date]
+    for date in sorted(days):
+        day = days[date]
         m = m or len(day)
         if len(day) != m or min(day) != 1 or max(day) != m:
-            raise PanelError(f"{path}:{min(day.values())}: {date} holds {len(day)} members "
+            first = min(line for line, _ in day.values())
+            raise PanelError(f"{path}:{first}: {date} holds {len(day)} members "
                              f"numbered {min(day)}..{max(day)}, expected 1..{m}")
-        members = np.concatenate(parts[date])[np.argsort(list(day))]
+        lines, members = zip(*(day[k] for k in range(1, m + 1)))
         finite = np.isfinite(members).all(axis=1)
         if not finite.all():
-            raise PanelError(f"{path}:{day[int(np.argmin(finite)) + 1]}: non-finite value")
+            raise PanelError(f"{path}:{lines[int(np.argmin(finite))]}: non-finite value")
         out.append(EnsembleForecast(date, members))
     if not out:
         raise PanelError(f"{path}: no forecasts")

@@ -3,16 +3,23 @@
 A panel is a T x 24 matrix of finite values indexed by strictly increasing
 calendar dates.  Dates are opaque labels; no timezone logic lives here.
 
-Every CSV file of the package is read by :func:`read_rows`, its float cells
-cast in bulk by :class:`FloatCells`, and written by :func:`write_rows`, or by
-:func:`write_number_rows` when no cell can need quoting; all are internal to
-the package, and only this module knows the CSV dialect.
+Every CSV file of the package is written by :func:`write_rows`, or by
+:func:`write_number_rows` when no cell can need quoting.  A numeric file
+(panel, forecasts, matrix) is read by :func:`read_bulk`, one ``np.loadtxt``
+call over the whole file, and its reader checks the result as whole arrays;
+when that parse or a check fails, the reader walks the file again row by row
+with :func:`read_rows`, which names the first bad ``path:line`` or reads what
+``loadtxt`` does not (quoted cells, ``1_0``, whitespace).  Other files are only
+walked.  All are internal to the package, and only this module knows the CSV
+dialect.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import datetime
+import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -68,6 +75,16 @@ def hour_names(n_hours: int) -> list:
     return [f"h{h}" for h in range(1, n_hours + 1)]
 
 
+def _check_header(path, cells, names, hourly: bool) -> list:
+    """The header ``cells``, stripped and lower-cased; see :func:`read_rows`."""
+    header = [c.strip().lower() for c in cells]
+    n_hours = len(header) - len(names) if hourly else 0
+    if header != [*names, *hour_names(n_hours)] or (hourly and n_hours < 1):
+        want = ",".join([*names, "h1..hH"] if hourly else names)
+        raise PanelError(f"{path}:1: expected header {want!r}, got {','.join(header)!r}")
+    return header
+
+
 def read_rows(path, names, hourly: bool = False):
     """Yield ``(line, cells)`` for every non-blank data row of a CSV file.
 
@@ -78,11 +95,7 @@ def read_rows(path, names, hourly: bool = False):
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [c.strip().lower() for c in next(reader, [])]
-        n_hours = len(header) - len(names) if hourly else 0
-        if header != [*names, *hour_names(n_hours)] or (hourly and n_hours < 1):
-            want = ",".join([*names, "h1..hH"] if hourly else names)
-            raise PanelError(f"{path}:1: expected header {want!r}, got {','.join(header)!r}")
+        header = _check_header(path, next(reader, []), names, hourly)
         for line, cells in enumerate(reader, start=2):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
@@ -90,6 +103,73 @@ def read_rows(path, names, hourly: bool = False):
                 raise PanelError(f"{path}:{line}: expected {len(header)} columns, "
                                  f"got {len(cells)}")
             yield line, cells
+
+
+# The bytes a bulk read takes in data rows.  Of texts made of these, ``loadtxt``
+# parses exactly those that ``float`` and ``int`` parse, to the same numbers, and
+# splits lines and cells as the ``csv`` module does; beyond them it does not
+# (it reads "1.0\x1c" as 1.0, which ``float`` rejects).
+_PLAIN = b"0123456789+-.eE,\r\n"
+_BULK_TYPES = {"date": "U11", "member": np.int64, "hour": np.int64, "value": np.float64}
+_CHUNK = 1 << 16
+
+
+def read_bulk(path, names, hourly: bool = False):
+    """Data rows of a CSV file as one structured array, or None to walk the file.
+
+    The header is checked as :func:`read_rows` checks it.  One ``np.loadtxt``
+    call then parses the rows into a field per name of ``names`` (``date`` as
+    text, ``member`` and ``hour`` as ints, ``value`` as a float) and, with
+    ``hourly``, a field ``values`` of the row's H floats.  A date text is read
+    as at most 11 characters, so a longer one shows as 11, never as a date.
+
+    None means the caller must walk the file with :func:`read_rows`, which
+    raises any error and reads any row that is not plain: the header is bad,
+    the file has no data row, a data row holds a byte other than ``0-9+-.eE``,
+    a comma or a line end (quotes, whitespace, ``_``, ``nan``, non-ASCII
+    digits), or ``loadtxt`` rejects a row.
+    """
+    with open(path, "rb") as fh:  # in chunks, to hold less than loadtxt does
+        chunk = fh.read(_CHUNK)
+        eol = re.match(rb"[^\r\n]*", chunk).end()  # the header's line, ended as csv ends it
+        try:  # a header that passes holds no quote, so csv splits it as str.split does
+            header = _check_header(path, chunk[:eol].decode().split(","), names, hourly)
+        except ValueError:  # a bad header, or bad UTF-8 in it
+            return None
+        chunk, rows = chunk[eol:], False
+        while chunk:
+            if chunk.translate(None, _PLAIN):
+                return None
+            rows = rows or chunk.count(b"\r") + chunk.count(b"\n") < len(chunk)
+            chunk = fh.read(_CHUNK)
+    if not rows:
+        return None
+    dtype = [(name, _BULK_TYPES[name]) for name in names]
+    if hourly:
+        dtype.append(("values", np.float64, (len(header) - len(names),)))
+    try:
+        return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+                          encoding="utf-8", ndmin=1)
+    except ValueError:
+        return None
+
+
+def bulk_days(texts):
+    """``(dates, day)`` of a date field of :func:`read_bulk`, or None.
+
+    ``dates`` lists the distinct dates ascending and ``day`` indexes each
+    text's date in it; two texts of one date (``20200101``, ``2020-01-01``)
+    share a day.  None when a text is no date to ``date.fromisoformat``.
+    """
+    texts, index = np.unique(texts, return_inverse=True)
+    if np.strings.str_len(texts).max() > 10:  # read_bulk cut it to 11 characters
+        return None
+    try:
+        ordinals = [datetime.date.fromisoformat(text).toordinal() for text in texts.tolist()]
+    except ValueError:
+        return None
+    ordinals, day = np.unique(ordinals, return_inverse=True)
+    return [datetime.date.fromordinal(o) for o in ordinals.tolist()], day[index]
 
 
 def _output(path):
@@ -135,71 +215,32 @@ def parse_cell(parse, text, what: str, path, lineno: int):
         raise PanelError(f"{path}:{lineno}: bad {what} {text!r}") from None
 
 
-def _cast(text):
-    return np.array(text, dtype=float)
-
-
-class FloatCells:
-    """Float cells of one CSV file: :meth:`add` keeps their text, :meth:`take` casts in bulk.
-
-    An entry is one cell or one row's list of cells.  numpy casts each text
-    with Python's ``float``, so the bulk cast accepts exactly what ``float``
-    accepts.  Only when it fails, or when ``finite`` and a value is not
-    finite, are the entries cast again one by one, to name the first bad one
-    as a per-cell parse would: ``path:line: bad <what> <text>`` or
-    ``path:line: non-finite value <text>``.
-
-    A reader that raises a :class:`PanelError` of its own calls :meth:`take`
-    first, so that a bad cell on an earlier line is reported first.
-    """
-
-    def __init__(self, path, what: str = "value", finite: bool = False):
-        self.path, self.what, self.finite = path, what, finite
-        self.lines: list = []
-        self.cells: list = []
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def add(self, line: int, cells) -> None:
-        self.lines.append(line)
-        self.cells.append(cells)
-
-    def take(self) -> np.ndarray:
-        """Float array of the entries added since the last take, which it forgets."""
-        lines, cells = self.lines, self.cells
-        self.lines, self.cells = [], []
-        try:
-            values = np.array(cells, dtype=float)
-            if not self.finite or np.isfinite(values).all():
-                return values
-        except ValueError:
-            pass
-        for line, text in zip(lines, cells):
-            value = parse_cell(_cast, text, self.what, self.path, line)
-            if self.finite and not np.isfinite(value).all():
-                raise PanelError(f"{self.path}:{line}: non-finite value {text!r}")
-        # reached only when the bulk cast failed for a reason no single entry shows
-        return np.array(cells, dtype=float)
-
-
 def read_matrix_csv(path) -> np.ndarray:
     """Float matrix of a CSV with header ``h1..hH``, one matrix row per line.
 
     Non-numeric and non-finite cells raise :class:`PanelError` naming ``path:line``.
     """
-    values, n_cols = FloatCells(path, finite=True), 0
-    try:
-        for lineno, cells in read_rows(path, (), hourly=True):
-            n_cols = len(cells)
-            for cell in cells:
-                values.add(lineno, cell)
-    except PanelError:
-        values.take()
-        raise
-    if not n_cols:
+    rows = read_bulk(path, (), hourly=True)
+    if rows is not None and np.isfinite(rows["values"]).all():
+        return rows["values"]
+    return _walk_matrix(path)
+
+
+def _walk_matrix(path) -> np.ndarray:
+    """:func:`read_matrix_csv` row by row, raising at the first bad cell."""
+    rows = []
+    for lineno, cells in read_rows(path, (), hourly=True):
+        rows.append([_finite(cell, path, lineno) for cell in cells])
+    if not rows:
         raise PanelError(f"{path}: no data rows")
-    return values.take().reshape(-1, n_cols)
+    return np.array(rows)
+
+
+def _finite(text, path, lineno: int) -> float:
+    value = parse_cell(float, text, "value", path, lineno)
+    if not math.isfinite(value):
+        raise PanelError(f"{path}:{lineno}: non-finite value {text!r}")
+    return value
 
 
 def load_panel(path, role: str = "realization") -> HourlyPanel:
@@ -209,51 +250,60 @@ def load_panel(path, role: str = "realization") -> HourlyPanel:
     24 distinct hours are dropped with a warning; duplicate cells, hours
     outside 1..24 and non-finite values raise :class:`PanelError`.
     """
-    dates: dict = {}   # date text -> date
-    cells: dict = {}   # date -> {hour: index of the cell's value}
-    values = FloatCells(path, finite=True)
-    try:
-        for lineno, row in read_rows(path, ("date", "hour", "value")):
-            date = dates.get(row[0])
-            if date is None:
-                try:
-                    date = dates[row[0]] = datetime.date.fromisoformat(row[0].strip())
-                except ValueError as exc:
-                    raise PanelError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from None
-            try:
-                hour = int(row[1])
-            except ValueError:
-                raise PanelError(f"{path}:{lineno}: bad hour {row[1]!r}") from None
-            if not 1 <= hour <= N_HOURS:
-                raise PanelError(f"{path}:{lineno}: hour {hour} outside 1..{N_HOURS}")
-            day = cells.setdefault(date, {})
-            values.add(lineno, row[2])
-            if hour in day:
-                raise PanelError(f"{path}:{lineno}: duplicate cell ({date}, hour {hour})")
-            day[hour] = len(values) - 1
-    except PanelError:
-        values.take()
-        raise
-    flat = values.take()
+    rows = read_bulk(path, ("date", "hour", "value"))
+    cells = None if rows is None else _bulk_cells(rows)
+    dates, day, hour, value = cells or _walk_panel(path)
+    cell = day * N_HOURS + hour - 1
+    grid = np.empty((len(dates), N_HOURS))
+    grid.flat[cell] = value
+    present = np.bincount(cell, minlength=grid.size).reshape(grid.shape) > 0
+    complete = present.all(axis=1)
+    for i in np.flatnonzero(~complete):
+        missing = (np.flatnonzero(~present[i]) + 1).tolist()
+        warnings.warn(f"{path}: dropping {role} day {dates[i]}: missing hours {missing}",
+                      stacklevel=2)
+    if not complete.any():
+        raise PanelError(f"{path}: no complete {N_HOURS}-hour days")
+    return HourlyPanel(tuple(d for d, keep in zip(dates, complete) if keep), grid[complete])
 
+
+def _bulk_cells(rows):
+    """``(dates, day, hour, value)`` of a bulk-read panel, or None when a check fails."""
+    days = bulk_days(rows["date"])
+    hour, value = rows["hour"], rows["value"]
+    if days is None or not (((hour >= 1) & (hour <= N_HOURS)).all()
+                            and np.isfinite(value).all()):
+        return None
+    dates, day = days
+    if np.bincount(day * N_HOURS + hour - 1).max() > 1:  # a duplicate cell
+        return None
+    return dates, day, hour, value
+
+
+def _walk_panel(path):
+    """:func:`load_panel`'s cells row by row, raising at the first bad row."""
+    dates: dict = {}   # date text -> date
+    cells: dict = {}   # (date, hour) -> value
+    for lineno, row in read_rows(path, ("date", "hour", "value")):
+        date = dates.get(row[0])
+        if date is None:
+            try:
+                date = dates[row[0]] = datetime.date.fromisoformat(row[0].strip())
+            except ValueError as exc:
+                raise PanelError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from None
+        hour = parse_cell(int, row[1], "hour", path, lineno)
+        if not 1 <= hour <= N_HOURS:
+            raise PanelError(f"{path}:{lineno}: hour {hour} outside 1..{N_HOURS}")
+        value = _finite(row[2], path, lineno)
+        if (date, hour) in cells:
+            raise PanelError(f"{path}:{lineno}: duplicate cell ({date}, hour {hour})")
+        cells[date, hour] = value
     if not cells:
         raise PanelError(f"{path}: no data rows")
-
-    complete, rows = [], []
-    for date in sorted(cells):
-        day = cells[date]
-        if len(day) < N_HOURS:
-            missing = sorted(set(range(1, N_HOURS + 1)) - set(day))
-            warnings.warn(
-                f"{path}: dropping {role} day {date}: missing hours {missing}",
-                stacklevel=2,
-            )
-            continue
-        complete.append(date)
-        rows.append([day[h] for h in range(1, N_HOURS + 1)])
-    if not complete:
-        raise PanelError(f"{path}: no complete {N_HOURS}-hour days")
-    return HourlyPanel(tuple(complete), flat[np.array(rows)])
+    sorted_dates = sorted(set(dates.values()))
+    index = {date: i for i, date in enumerate(sorted_dates)}
+    day, hour = np.array([(index[date], hour) for date, hour in cells]).T
+    return sorted_dates, day, hour, np.array(list(cells.values()))
 
 
 def save_panel(panel: HourlyPanel, path) -> None:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import datetime
 import json
@@ -8,7 +9,7 @@ import pytest
 
 from _simulate import equicorrelated_normals, iid_error_panels, panels_from_errors
 from test_copula import BAD_MATRIX_FILES
-from schaake import cli
+from schaake import backtest, cli
 from schaake.backtest import (
     BacktestConfig,
     ConfigError,
@@ -17,6 +18,7 @@ from schaake.backtest import (
     run_toy_example,
 )
 from schaake.filters import SARIMA, FilterSpec
+from schaake.forecast import EnsembleForecast, write_forecasts_csv
 from schaake.panel import load_panel, save_panel
 from schaake.scoring import dm_test
 
@@ -321,6 +323,72 @@ def test_cli_evaluate_rejects_mixed_member_counts(panel_csvs, tmp_path, capsys):
     assert rc == 2
     assert "forecasts_fewer.csv: 20 members per day, earlier files have 40" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("backtest", "--jobs", "0"),
+    ("backtest", "--jobs", "-2"),
+    ("backtest", "--jobs", "two"),
+    ("slp", "--nominal", "1.5"),
+    ("slp", "--nominal", "0"),
+    ("slp", "--nominal", "1"),
+    ("slp", "--nominal", "nan"),
+])
+def test_cli_rejects_out_of_range_arguments_before_reading(tmp_path, capsys, command, option,
+                                                           value):
+    missing = str(tmp_path / "nope.csv")  # a data error (exit 2) if anything were read
+    inputs = {"backtest": ["--forecast", missing, "--out-dir", str(tmp_path / "out")],
+              "slp": ["--forecasts", missing]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--real", missing, *inputs, option, value])
+    assert exc.value.code == 1
+    assert f"argument {option}: " in capsys.readouterr().err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, runs tasks inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("n_tasks, jobs, pool", [
+    (6, 1000, [6]), (6, 3, [3]), (6, 1, []), (1, 8, []), (0, 8, []),
+])
+def test_map_caps_the_pool_at_the_task_count(monkeypatch, n_tasks, jobs, pool):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert backtest._map(abs, list(range(-n_tasks, 0)), jobs) == list(range(n_tasks, 0, -1))
+    assert RecordingPool.sizes == pool
+
+
+def test_cli_names_forecast_file_with_wrong_hour_count(panel_csvs, tmp_path, capsys):
+    real = load_panel(panel_csvs / "real.csv")
+    two_hours = tmp_path / "forecasts_two.csv"
+    write_forecasts_csv([EnsembleForecast(d, real.values[i, :2] + np.arange(3.0)[:, None])
+                         for i, d in enumerate(real.dates[-3:], start=real.n_days - 3)],
+                        two_hours)
+    rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"),
+                   "--forecasts", str(two_hours), "--out-dir", str(tmp_path / "eval")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"schaake: data error: {two_hours}: 2 hours per day, the realizations have 24\n"
+    rc = cli.main(["slp", "--real", str(panel_csvs / "real.csv"),
+                   "--forecasts", str(two_hours)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"schaake: data error: {two_hours}: 2 hours per day, the profile has 24\n"
 
 
 def _cli_backtest_on_errors(tmp_path, errors, config):

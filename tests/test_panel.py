@@ -1,21 +1,27 @@
+import contextlib
 import csv
 import datetime
 import io
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schaake import forecast as forecast_module
+from schaake import panel as panel_module
+from schaake.forecast import read_forecasts_csv
 from schaake.panel import (
     N_HOURS,
-    FloatCells,
     HourlyPanel,
     PanelError,
     compute_errors,
     load_panel,
+    read_matrix_csv,
     save_panel,
     write_number_rows,
 )
@@ -207,24 +213,265 @@ FLOAT_TEXTS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(texts=st.lists(FLOAT_TEXTS, min_size=1, max_size=8), rows=st.booleans())
-def test_float_cells_accept_what_float_accepts(texts, rows):
-    # as rows, every entry is a list of two cells, as a forecast row's values
-    entries = [[text, "1.0"] if rows else text for text in texts]
-    cells = FloatCells("f.csv")
-    for line, entry in enumerate(entries, start=2):
-        cells.add(line, entry)
-    expected = []
-    for line, (text, entry) in enumerate(zip(texts, entries), start=2):
+def float_or_error(texts):
+    """Values ``float`` gives texts on lines 2.., or the error and line of the first it refuses."""
+    values = []
+    for line, text in enumerate(texts, start=2):
         try:
-            expected.append(float(text))
+            values.append(float(text))
         except ValueError:
+            return f"bad value {text!r}", line
+        if not np.isfinite(values[-1]):
+            return f"non-finite value {text!r}", line
+    return values, None
+
+
+def csv_line(cells) -> str:
+    """``cells`` as one CSV line, quoted where the csv module would quote them."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(FLOAT_TEXTS.filter(lambda t: "\r" not in t and "\n" not in t),
+                      min_size=1, max_size=8),
+       matrix=st.booleans())
+def test_readers_accept_what_float_accepts(texts, matrix):
+    # as matrix rows, every text is a row's first of two cells; as panel
+    # cells, the first hours of a day (a line end in a cell would move the
+    # csv module's row ends, so none is drawn)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        if matrix:
+            rows = [csv_line([text, "1.0"]) for text in texts]
+            path.write_text("h1,h2\n" + "".join(rows), encoding="utf-8")
+        else:
+            cells = texts + ["1.0"] * (N_HOURS - len(texts))
+            rows = [csv_line(["2020-01-01", h, c]) for h, c in enumerate(cells, start=1)]
+            path.write_text("date,hour,value\n" + "".join(rows), encoding="utf-8")
+        expected, line = float_or_error(texts)
+        if line is not None:
             with pytest.raises(PanelError) as exc:
-                cells.take()
-            assert str(exc.value) == f"f.csv:{line}: bad value {entry!r}"
+                read_matrix_csv(path) if matrix else load_panel(path)
+            assert str(exc.value) == f"{path}:{line}: {expected}"
             return
-    values = cells.take()
-    assert values.shape == ((len(texts), 2) if rows else (len(texts),))
-    got = values[:, 0] if rows else values
+        got = read_matrix_csv(path)[:, 0] if matrix else load_panel(path).values[0, :len(texts)]
     assert [repr(v) for v in got.tolist()] == [repr(v) for v in expected]
+
+
+# ---------------------------------------------------------------------------
+# The bulk read against the line walker
+# ---------------------------------------------------------------------------
+
+VALUE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e5", "-0", ".5", "5.", "+1.25", "1E-3", "007"]),
+)
+# hostile cells of the bytes a bulk read takes, and of others; the first can
+# reach loadtxt and are drawn as often as the second
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from(["1e500", "-1e999", "1..0", "e", "", "-", "1e", "+-1", "--1", ".", "1e5e5"]),
+    st.sampled_from(['"1.5"', "1_0", "\u0661\u0662", " 1.5 ", "#", "1.5#x", "nan", "inf",
+                     "-inf", "1.0\x1c", "0x10", "1d5", "1.0 ", "\t2", '"1,5"']),
+)
+HOSTILE_DATES = st.one_of(
+    st.sampled_from(["2020-01-011", "2020-01-01-", "2020-01-01.5", "20200102", "2020-02-30",
+                     "2020-1-1", "", "+2020-01-01", "2020-0101", "2020-01-02", "2020-01-0"]),
+    st.sampled_from(["2020-01-01xyz", " 2020-01-01", "2020-01-01 ", '"2020-01-01"',
+                     "2020-01-01\x1c", "2020-01-01#", "2020-W01-1"]),
+)
+HOSTILE_INTS = st.one_of(
+    st.sampled_from(["1.0", "+1", "0", "-1", "25", "99999999999999999999", "", "01", "2",
+                     "1e0", "-0"]),
+    st.sampled_from([" 1", "1_0", "\u0661", '"1"', "1 "]),
+)
+HOSTILE_LINES = ["", "  ", "\t", ",", "#", '""', "a,b,c,d,e,f"]
+# few days, so that a hostile date is often one of them
+DATES = st.dates(datetime.date(2020, 1, 1), datetime.date(2020, 1, 4))
+
+
+@st.composite
+def mangled_csv(draw, header, rows, kinds):
+    """``header`` and ``rows`` as CSV text, with up to three hostile changes.
+
+    ``kinds`` names each column's cell kind: ``date``, ``int`` or ``value``.
+    A change replaces a cell, duplicates, drops or splits a row, or inserts a
+    hostile line.  The header may be quoted, padded or cut; the line end is
+    ``\\n``, ``\\r\\n`` or ``\\r``.
+    """
+    rows = [list(row) for row in rows]
+    pools = {"date": HOSTILE_DATES, "int": HOSTILE_INTS, "value": HOSTILE_VALUES}
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(["cell", "cell", "dup", "drop", "line", "ragged"]))
+        if not rows and change != "line":
+            continue
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if change == "cell":
+            j = draw(st.integers(0, len(kinds) - 1))
+            if j < len(rows[i]):  # not a hostile line or a cut row
+                rows[i][j] = draw(pools[kinds[j]])
+        elif change == "dup":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        elif change == "drop":
+            del rows[i]
+        elif change == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1.0"]
+        else:
+            rows.insert(i, [draw(st.sampled_from(HOSTILE_LINES))])
+    header = draw(st.just(header) | st.sampled_from([
+        [name.upper() for name in header], [f" {name} " for name in header],
+        [f'"{name}"' for name in header], ["\ufeff" + header[0], *header[1:]], header[:-1],
+    ]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(",".join(row) for row in [header, *rows]) + draw(st.sampled_from([eol, ""]))
+
+
+def forecast_files():
+    @st.composite
+    def files(draw):
+        n_days, m, n_hours = (draw(st.integers(1, 3)) for _ in range(3))
+        dates = draw(st.lists(DATES, min_size=n_days, max_size=n_days, unique=True))
+        rows = [[d.isoformat(), str(k), *draw(st.lists(VALUE_CELLS, min_size=n_hours,
+                                                       max_size=n_hours))]
+                for d in dates for k in range(1, m + 1)]
+        rows = draw(st.permutations(rows))  # days interleaved, members out of order
+        header = ["date", "member", *(f"h{h}" for h in range(1, n_hours + 1))]
+        return draw(mangled_csv(header, rows, ["date", "int"] + ["value"] * n_hours))
+    return files()
+
+
+def panel_files():
+    @st.composite
+    def files(draw):
+        dates = draw(st.lists(DATES, min_size=1, max_size=2, unique=True))
+        rows = [[d.isoformat(), str(h), draw(VALUE_CELLS)]
+                for d in dates for h in range(1, N_HOURS + 1)]
+        if draw(st.booleans()):
+            rows = draw(st.permutations(rows))
+        return draw(mangled_csv(["date", "hour", "value"], rows, ["date", "int", "value"]))
+    return files()
+
+
+def matrix_files():
+    @st.composite
+    def files(draw):
+        n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(VALUE_CELLS, min_size=n_cols, max_size=n_cols),
+                             min_size=n_rows, max_size=n_rows))
+        return draw(mangled_csv([f"h{h}" for h in range(1, n_cols + 1)], rows,
+                                ["value"] * n_cols))
+    return files()
+
+
+def _bits(result):
+    """What a reader returned, its floats as exact bits."""
+    if isinstance(result, HourlyPanel):
+        return result.dates, result.values.shape, result.values.tobytes()
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    return [(fc.date, fc.members.shape, fc.members.tobytes()) for fc in result]
+
+
+def outcome(read, path, walk: bool = False):
+    """``read(path)`` as comparable data: its result or error, and its warnings."""
+    with contextlib.ExitStack() as stack:
+        if walk:  # every reader finds read_bulk where it was imported
+            for module in (panel_module, forecast_module):
+                stack.enter_context(mock.patch.object(module, "read_bulk", lambda *a, **k: None))
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", _bits(read(path)))
+        except Exception as exc:  # noqa: BLE001 - the walker's error, whatever its kind
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def check_against_walker(read, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read, path) == outcome(read, path, walk=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=forecast_files())
+def test_read_forecasts_csv_matches_its_walker(text):
+    check_against_walker(read_forecasts_csv, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=panel_files())
+def test_load_panel_matches_its_walker(text):
+    check_against_walker(load_panel, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=matrix_files())
+def test_read_matrix_csv_matches_its_walker(text):
+    check_against_walker(read_matrix_csv, text)
+
+
+def _no_walk(*args):
+    raise AssertionError("a plain file was walked")
+
+
+def test_plain_files_are_not_walked(tmp_path, monkeypatch):
+    for module, walker in ((panel_module, "_walk_panel"), (panel_module, "_walk_matrix"),
+                           (forecast_module, "_walk_forecasts")):
+        monkeypatch.setattr(module, walker, _no_walk)
+    path = tmp_path / "p.csv"
+    # interleaved days, hours out of order, \r\n line ends and a blank line
+    rows = full_day("2020-01-02", 1.0) + full_day("2020-01-01", 2.0)[::-1]
+    path.write_bytes(("date,hour,value\r\n\r\n"
+                      + "".join(f"{d},{h},{v!r}\r\n" for d, h, v in rows)).encode())
+    assert load_panel(path).dates == (datetime.date(2020, 1, 1), datetime.date(2020, 1, 2))
+    path.write_text("date,member,h1\n2020-01-02,2,1e5\n2020-01-01,1,-0\n20200102,1,.5\n"
+                    "2020-01-01,2,7\n")
+    assert [fc.members.tolist() for fc in read_forecasts_csv(path)] == \
+        [[[-0.0], [7.0]], [[0.5], [1e5]]]
+    path.write_bytes(b"h1,h2\r1,2\r3.5,-4e-3\r")
+    assert read_matrix_csv(path).tolist() == [[1.0, 2.0], [3.5, -0.004]]
+
+
+@pytest.mark.parametrize("read, text, match", [
+    # a date cut to 10 characters would read as a date
+    (load_panel, "date,hour,value\n2015-01-01xyz,1,1.0\n",
+     r":2: bad date '2015-01-01xyz': Invalid isoformat string"),
+    (read_forecasts_csv, "date,member,h1\n2015-01-01xyz,1,1.0\n", r":2: bad date '2015-01-01xyz'"),
+    (load_panel, "date,hour,value\n" + "".join(f"2015-01-01,{h},1.0\n" for h in range(1, 24))
+     + "2015-01-0112,24,1.0\n", r":25: bad date '2015-01-0112'"),
+    (read_forecasts_csv, "date,member,h1\n2015-01-01-5,1,1.0\n", r":2: bad date '2015-01-01-5'"),
+    # 1e500 parses, to inf
+    (load_panel, "date,hour,value\n2015-01-01,1,1e500\n", r":2: non-finite value '1e500'"),
+    (read_forecasts_csv, "date,member,h1\n2015-01-01,1,1e500\n", r":2: non-finite value"),
+    (read_matrix_csv, "h1\n-1e500\n", r":2: non-finite value '-1e500'"),
+    # loadtxt's default comments="#" would read 1.5#x as 1.5
+    (load_panel, "date,hour,value\n2015-01-01,1,1.5#x\n", r":2: bad value '1\.5#x'"),
+    (read_forecasts_csv, "date,member,h1\n2015-01-01,1,1.5#x\n", r":2: bad values \['1\.5#x'\]"),
+    (read_matrix_csv, "h1\n1.5#x\n", r":2: bad value '1\.5#x'"),
+    # loadtxt strips \x1c from a number, float does not
+    (read_matrix_csv, "h1\n1.5\x1c\n", r":2: bad value '1\.5\\x1c'"),
+])
+def test_bulk_read_refuses_what_the_walker_refuses(tmp_path, read, text, match):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(PanelError, match=r"f\.csv" + match):
+        read(path)
+
+
+@pytest.mark.parametrize("read, header, match", [
+    (load_panel, "date,hour,value", ": no data rows"),
+    (read_forecasts_csv, "date,member,h1,h2", ": no forecasts"),
+    (read_matrix_csv, "h1,h2", ": no data rows"),
+])
+def test_header_only_file_raises_without_a_warning(tmp_path, read, header, match):
+    # loadtxt warns "input contained no data" on such a file
+    path = tmp_path / "f.csv"
+    path.write_text(header + "\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PanelError, match=r"f\.csv" + match):
+            read(path)
