@@ -199,12 +199,18 @@ class BacktestResult:
     def write_outputs(self, out_dir, jobs: int = 1) -> None:
         """Write the forecast, score, rank-histogram, DM and skipped-day CSVs.
 
-        With ``jobs > 1`` the per-setting forecast files are written on up to
-        that many processes, one task per file; the bytes do not depend on ``jobs``.
+        The forecast files are written one task per Schaake/independence pair
+        (settings that share filter and margin kind), both files of a pair by
+        one :func:`forecast.write_forecast_files` call, which formats each of
+        the pair's days once.  With ``jobs > 1`` the tasks run on up to that
+        many processes; the bytes do not depend on ``jobs``.
         """
         os.makedirs(out_dir, exist_ok=True)
-        _map(_write_forecasts, [(fcs, os.path.join(out_dir, f"forecasts_{setting}.csv"))
-                                for setting, fcs in self.forecasts.items()], jobs)
+        pairs: dict = {}  # (filter kind, margin kind) -> [(forecasts, path)]
+        for setting, fcs in self.forecasts.items():
+            pairs.setdefault(SETTING_TABLE[setting][:2], []).append(
+                (fcs, os.path.join(out_dir, f"forecasts_{setting}.csv")))
+        _map(forecast.write_forecast_files, list(pairs.values()), jobs)
         write_rows(os.path.join(out_dir, "scores.csv"), ["date", "setting", "es", "crps_mean"],
                    ([date.isoformat(), setting, es, crps]
                     for setting, panel in self.scores.items()
@@ -313,10 +319,6 @@ def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitt
                 continue
             results[name] = forecast.shuffle(members, ranks, date=date)
     return results
-
-
-def _write_forecasts(args) -> None:
-    forecast.write_forecasts_csv(*args)
 
 
 def _map(fn, tasks, jobs: int) -> list:

@@ -183,7 +183,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    labels: dict = {}  # setting label -> the --forecasts path that has it
+    for path in getattr(args, "forecasts", None) or ():  # evaluate and slp label files
+        label = _setting_label(path)
+        if label in labels:
+            parser.error(f"--forecasts {labels[label]} and {path} share the setting "
+                         f"label {label!r}")
+        labels[label] = path
     try:
         return _COMMANDS[args.command](args)
     except (PanelError, copula.CopulaError, bt.ConfigError, FileNotFoundError, ValueError) as exc:

@@ -5,9 +5,15 @@ error distribution around the bias-corrected point forecast.  Pairing the 24
 hourly ensembles row-wise through a rank matrix transfers the learned
 dependence onto the forecast (the Schaake shuffle); the independence variant
 pairs them through random permutations instead.
+
+Forecast files are written by :func:`write_forecast_files`.  A Schaake setting
+and its independence counterpart hold the same numbers per day in another
+row order, so the files of such a pair are written together and each day's
+members are formatted once for both.  The CSV dialect is :mod:`.panel`'s.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime
 from dataclasses import dataclass
 
@@ -15,8 +21,8 @@ import numpy as np
 
 from .copula import CopulaError, is_rank_matrix
 from .margins import MarginModel, quantile
-from .panel import (N_HOURS, PanelError, bulk_days, hour_names, parse_cell, read_bulk,
-                    read_rows, write_number_rows)
+from .panel import (N_HOURS, PanelError, bulk_days, hour_names, open_csv, parse_cell,
+                    read_bulk, read_rows, write_text_rows)
 
 
 @dataclass(frozen=True)
@@ -103,11 +109,55 @@ def independence_forecast(members, seed: int, date=None) -> EnsembleForecast:
 
 def write_forecasts_csv(forecasts, path) -> None:
     """Serialize forecasts to CSV with columns ``date,member,h1..hH`` (H = 24 if none)."""
-    forecasts = list(forecasts)
-    n_hours = forecasts[0].members.shape[1] if forecasts else N_HOURS
-    write_number_rows(path, ["date", "member"] + hour_names(n_hours),
-                      ((fc.date, ([i, *row] for i, row in enumerate(fc.members.tolist(), start=1)))
-                       for fc in forecasts))
+    write_forecast_files([(forecasts, path)])
+
+
+def write_forecast_files(files) -> None:
+    """Write forecast files, each ``(forecasts, path)``, as :func:`write_forecasts_csv` does.
+
+    Every file holds the bytes it holds when written alone.  The files are
+    walked together by date: each step writes the next forecast of every file
+    whose next forecast has the earliest date among them.  Forecasts of one
+    step whose sorted columns are bitwise equal (a Schaake setting and its
+    independence counterpart reorder the same sorted ensemble) share the
+    ``repr`` texts of their members, formatted once.  Only one step's texts
+    are held at a time.
+    """
+    queues = [list(forecasts) for forecasts, _ in files]
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open_csv(path)) for _, path in files]
+        for fh, queue in zip(outs, queues):
+            n_hours = queue[0].members.shape[1] if queue else N_HOURS
+            write_text_rows(fh, [["date", "member", *hour_names(n_hours)]])
+        heads = [0] * len(queues)
+        while True:
+            step = [(k, queue[heads[k]]) for k, queue in enumerate(queues)
+                    if heads[k] < len(queue)]
+            if not step:
+                break
+            date = min(fc.date for _, fc in step)
+            texts: dict = {}  # (shape, bytes) of sorted members -> their repr texts
+            for k, fc in step:
+                if fc.date == date:
+                    heads[k] += 1
+                    write_text_rows(outs[k], _text_rows(fc, texts))
+
+
+def _text_rows(fc: EnsembleForecast, texts: dict) -> list:
+    """The rows of text cells of one forecast, its member texts taken from ``texts``."""
+    order = np.argsort(fc.members, axis=0)
+    ranked = np.take_along_axis(fc.members, order, axis=0)
+    key = ranked.shape, ranked.tobytes()  # bytes, so -0.0 and 0.0 never share a text
+    cells = texts.get(key)
+    if cells is None:
+        cells = texts[key] = np.array(list(map(repr, ranked.ravel().tolist())),
+                                      dtype=object).reshape(ranked.shape)
+    m, n_hours = fc.members.shape
+    rows = np.empty((m, n_hours + 2), dtype=object)
+    rows[:, 0] = fc.date.isoformat()
+    rows[:, 1] = [str(i) for i in range(1, m + 1)]
+    np.put_along_axis(rows[:, 2:], order, cells, axis=0)
+    return rows.tolist()
 
 
 def read_forecasts_csv(path) -> list:

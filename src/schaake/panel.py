@@ -3,15 +3,16 @@
 A panel is a T x 24 matrix of finite values indexed by strictly increasing
 calendar dates.  Dates are opaque labels; no timezone logic lives here.
 
-Every CSV file of the package is written by :func:`write_rows`, or by
-:func:`write_number_rows` when no cell can need quoting.  A numeric file
-(panel, forecasts, matrix) is read by :func:`read_bulk`, one ``np.loadtxt``
-call over the whole file, and its reader checks the result as whole arrays;
-when that parse or a check fails, the reader walks the file again row by row
-with :func:`read_rows`, which names the first bad ``path:line`` or reads what
-``loadtxt`` does not (quoted cells, ``1_0``, whitespace).  Other files are only
-walked.  All are internal to the package, and only this module knows the CSV
-dialect.
+Every CSV file of the package is written by :func:`write_rows`, or, when no
+cell can need quoting, by :func:`write_number_rows` from numbers or by
+:func:`write_text_rows` from texts made elsewhere (forecast members).  A
+numeric file (panel, forecasts, matrix) is read by :func:`read_bulk`, one
+``np.loadtxt`` call over the whole file, and its reader checks the result as
+whole arrays; when that parse or a check fails, the reader walks the file
+again row by row with :func:`read_rows`, which names the first bad
+``path:line`` or reads what ``loadtxt`` does not (quoted cells, ``1_0``,
+whitespace).  Other files are only walked.  All are internal to the package,
+and only this module knows the CSV dialect.
 """
 from __future__ import annotations
 
@@ -91,12 +92,15 @@ def read_rows(path, names, hourly: bool = False):
     The header, stripped and lower-cased, must read ``names``, followed with
     ``hourly`` by ``h1..hH`` (H >= 1, taken from the header's width).  Every
     row must have as many cells as the header.  A violation raises
-    :class:`PanelError` naming ``path:line``.
+    :class:`PanelError` naming ``path:line``, the file line on which the row
+    starts.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = _check_header(path, next(reader, []), names, hourly)
-        for line, cells in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for cells in reader:  # a quoted cell can span lines; a row is named by its first
+            line, start = start, reader.line_num + 1
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
             if len(cells) != len(header):
@@ -172,7 +176,7 @@ def bulk_days(texts):
     return [datetime.date.fromordinal(o) for o in ordinals.tolist()], day[index]
 
 
-def _output(path):
+def open_csv(path):
     """``path`` opened for writing CSV, or standard output when None."""
     return (open(path, "w", newline="", encoding="utf-8") if path is not None
             else contextlib.nullcontext(sys.stdout))
@@ -185,7 +189,7 @@ def write_rows(path, header, rows) -> None:
     are written as they are: ``str(float)`` is ``repr(float)``, the shortest
     text that reads back to the same float.  None is written as an empty cell.
     """
-    with _output(path) as fh:
+    with open_csv(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -200,11 +204,19 @@ def write_number_rows(path, header, blocks) -> None:
     ``repr`` texts and every block one write, about half the time
     ``csv.writer`` takes.
     """
-    with _output(path) as fh:
-        fh.write(",".join(header) + _EOL)
+    with open_csv(path) as fh:
+        write_text_rows(fh, [header])
         for date, rows in blocks:
             lead = "" if date is None else date.isoformat() + ","
             fh.write("".join([lead + ",".join(map(repr, row)) + _EOL for row in rows]))
+
+
+def write_text_rows(fh, rows) -> None:
+    """Write rows of text cells that need no quoting to ``fh``, in one write.
+
+    Each row is one join, byte for byte as :func:`write_rows` writes it.
+    """
+    fh.write("".join([",".join(row) + _EOL for row in rows]))
 
 
 def parse_cell(parse, text, what: str, path, lineno: int):

@@ -3,6 +3,7 @@ import csv
 import datetime
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +372,50 @@ def test_map_caps_the_pool_at_the_task_count(monkeypatch, n_tasks, jobs, pool):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     assert backtest._map(abs, list(range(-n_tasks, 0)), jobs) == list(range(n_tasks, 0, -1))
     assert RecordingPool.sizes == pool
+
+
+PAIRS = [{"forecasts_Schaake-NP.csv", "forecasts_I-NP.csv"},
+         {"forecasts_Schaake-P.csv", "forecasts_I-P.csv"},
+         {"forecasts_Schaake-Raw.csv", "forecasts_I-Raw.csv"}]
+
+
+@pytest.mark.parametrize("settings, files", [
+    (tuple(backtest.SETTING_TABLE), PAIRS),
+    (("Schaake-NP", "I-Raw"), [{"forecasts_Schaake-NP.csv"}, {"forecasts_I-Raw.csv"}]),
+])
+def test_write_outputs_writes_one_task_per_pair(monkeypatch, tmp_path, settings, files):
+    calls = []
+    monkeypatch.setattr(backtest, "_map", lambda fn, tasks, jobs: calls.append((fn, tasks)))
+    backtest.BacktestResult(dates=(), m=3, forecasts={s: [] for s in settings}, scores={},
+                            ranks={}, skipped={}).write_outputs(tmp_path, jobs=2)
+    [(fn, tasks)] = calls
+    assert fn is backtest.forecast.write_forecast_files
+    assert [{Path(path).name for _, path in task} for task in tasks] == files
+
+
+def test_backtest_formats_each_pair_day_once(monkeypatch, tmp_path):
+    real, fc = iid_error_panels(126, rho=0.5, seed=21)
+    seasonal = FilterSpec(SARIMA, seasonal_period=7)
+    cfg = small_config(refit_every=6, filter_overrides={
+        s: seasonal for s in ("Schaake-NP", "Schaake-P", "I-NP", "I-P")})
+    result = run_backtest(real, fc, cfg)
+    assert result.skipped == {} and len(result.dates) == 6
+    cells = []
+    monkeypatch.setattr(backtest.forecast, "repr", lambda v: cells.append(v) or repr(v),
+                        raising=False)
+    result.write_outputs(tmp_path)
+    assert len(cells) == 3 * cfg.m * 24 * len(result.dates)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "slp"])
+def test_cli_refuses_forecasts_with_one_label_before_reading(tmp_path, capsys, command):
+    a, b = str(tmp_path / "a" / "forecasts_X.csv"), str(tmp_path / "b" / "X.csv")
+    missing = str(tmp_path / "nope.csv")  # a data error (exit 2) if anything were read
+    out = ["--out-dir", str(tmp_path / "eval")] if command == "evaluate" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--real", missing, "--forecasts", a, "--forecasts", b, *out])
+    assert exc.value.code == 1
+    assert f"--forecasts {a} and {b} share the setting label 'X'" in capsys.readouterr().err
 
 
 def test_cli_names_forecast_file_with_wrong_hour_count(panel_csvs, tmp_path, capsys):

@@ -1,10 +1,16 @@
 import datetime
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _simulate import rng_for
 from schaake.backtest import TOY_QUANTILES, TOY_RANK_MATRIX
+from schaake import forecast
 from schaake.copula import CopulaError, empirical_rank_matrix
 from schaake.forecast import (
     EnsembleForecast,
@@ -12,6 +18,7 @@ from schaake.forecast import (
     make_univariate_ensemble,
     read_forecasts_csv,
     shuffle,
+    write_forecast_files,
     write_forecasts_csv,
 )
 from schaake.margins import MarginModel
@@ -145,6 +152,110 @@ def test_forecast_csv_roundtrip(tmp_path):
     assert [f.date for f in again] == [f.date for f in fcs]
     for a, b in zip(again, fcs):
         assert np.array_equal(a.members, b.members)
+
+
+def reference_bytes(forecasts) -> bytes:
+    """A forecasts file as one join of ``repr`` texts per row, the writer's reference."""
+    n_hours = forecasts[0].members.shape[1] if forecasts else 24
+    lines = [",".join(["date", "member"] + [f"h{h}" for h in range(1, n_hours + 1)])]
+    for fc in forecasts:
+        lines += [fc.date.isoformat() + "," + ",".join(map(repr, [i, *row]))
+                  for i, row in enumerate(fc.members.tolist(), start=1)]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+MEMBER_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def forecast_file_groups(draw):
+    """Lists of forecast lists whose days reorder a few shared member matrices.
+
+    Days come from a pool of (date, matrix); each file picks pool days in any
+    order, with repeats, and permutes each column of a day's matrix by its own
+    seed.  Dates repeat across pool days, shapes vary (H = 24 among them), and
+    values tie and mix -0.0 with 0.0.
+    """
+    shapes = st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 3, 24]))
+    pool = draw(st.lists(st.tuples(
+        st.dates(datetime.date(2020, 1, 1), datetime.date(2020, 1, 4)),
+        shapes.flatmap(lambda shape: st.lists(MEMBER_VALUES, min_size=shape[0] * shape[1],
+                                              max_size=shape[0] * shape[1]).map(
+            lambda values: np.reshape(values, shape)))), min_size=1, max_size=3))
+    files = []
+    for _ in range(draw(st.integers(0, 3))):
+        forecasts = []
+        for k, seed in draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                               st.integers(0, 2 ** 32 - 1)), max_size=5)):
+            date, members = pool[k]
+            rng = np.random.default_rng(seed)
+            forecasts.append(EnsembleForecast(date, np.column_stack(
+                [rng.permutation(column) for column in members.T])))
+        files.append(forecasts)
+    return files
+
+
+DAY = datetime.date(2020, 1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=forecast_file_groups())
+# sorted, one day's columns are equal by value but not by bytes
+@example(groups=[[EnsembleForecast(DAY, [[-0.0], [0.0]])],
+                 [EnsembleForecast(DAY, [[0.0], [-0.0]])]])
+# the same bytes in two shapes
+@example(groups=[[EnsembleForecast(DAY, [[1.0, 2.0]])],
+                 [EnsembleForecast(DAY, [[1.0], [2.0]])]])
+def test_forecast_files_written_together_match_the_reference(groups):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"forecasts_{k}.csv" for k in range(len(groups))]
+        write_forecast_files(list(zip(groups, paths)))
+        for forecasts, path in zip(groups, paths):
+            assert path.read_bytes() == reference_bytes(forecasts)
+
+
+@pytest.mark.parametrize("skipping_first", [False, True])
+def test_forecast_pair_formats_each_shared_day_once(tmp_path, monkeypatch, skipping_first):
+    rng = rng_for(9)
+    days = [datetime.date(2020, 1, d) for d in range(1, 6)]
+    members = [np.sort(rng.standard_normal((4, 3)), axis=0) for _ in days]
+    schaake = [shuffle(x, empirical_rank_matrix(rng.random((4, 3))), date=d)
+               for d, x in zip(days, members)]
+    # the independence file skipped day 3; its other days share their members
+    independence = [independence_forecast(x, seed=d.day, date=d)
+                    for d, x in zip(days, members) if d.day != 3]
+    texts = []
+    monkeypatch.setattr(forecast, "repr", lambda v: texts.append(v) or repr(v), raising=False)
+    files = [(schaake, tmp_path / "a.csv"), (independence, tmp_path / "b.csv")]
+    if skipping_first:
+        files.reverse()
+    write_forecast_files(files)
+    assert len(texts) == 5 * 4 * 3
+    for forecasts, path in files:
+        assert path.read_bytes() == reference_bytes(forecasts)
+
+
+def test_forecast_pair_holds_one_day_of_texts(tmp_path):
+    rng = rng_for(10)
+    days = [datetime.date(2020, 1, 1) + datetime.timedelta(days=k) for k in range(60)]
+    members = [np.sort(rng.standard_normal((40, 24)), axis=0) for _ in days]
+    pair = [[independence_forecast(x, seed=2 * k + j, date=d)
+             for k, (d, x) in enumerate(zip(days, members))] for j in (0, 1)]
+
+    def peak(files):
+        tracemalloc.start()
+        try:
+            write_forecast_files(files)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([(pair[0], tmp_path / "a.csv")])
+    both = peak([(pair[0], tmp_path / "a.csv"), (pair[1], tmp_path / "b.csv")])
+    first_day = peak([(pair[0][:1], tmp_path / "a.csv"), (pair[1][:1], tmp_path / "b.csv")])
+    assert both <= 1.5 * one
+    assert both <= 1.5 * first_day  # the peak does not grow with the number of days
 
 
 def test_read_forecasts_csv_orders_days_and_members(tmp_path):

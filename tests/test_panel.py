@@ -475,3 +475,16 @@ def test_header_only_file_raises_without_a_warning(tmp_path, read, header, match
         warnings.simplefilter("error")
         with pytest.raises(PanelError, match=r"f\.csv" + match):
             read(path)
+
+
+@pytest.mark.parametrize("text, match", [
+    ('h1,h2\n1,3\n"4\n",5\n6,x\n', r":5: bad value 'x'"),
+    ('h1,h2\n1,3\n"4\nx",5\n6,7\n', r":3: bad value '4\\nx'"),
+    ('h1,h2\n1,3\n"4\n\n",5\n\n6,7,8\n', r":7: expected 2 columns, got 3"),
+])
+def test_rows_are_named_by_the_line_they_start_on(tmp_path, text, match):
+    # a quoted cell that spans lines makes one row of several file lines
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(PanelError, match=r"f\.csv" + match):
+        read_matrix_csv(path)
