@@ -354,7 +354,8 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
 
     Forecasts for day t use only data dated t-1 and earlier.  Days are
     processed in blocks of ``refit_every`` days sharing one filter fit; the
-    result is identical for any ``jobs`` value.
+    result is identical for any ``jobs`` value.  Every date from the first
+    error-window day to the last evaluation day must be in the panels.
     """
     error_panel = compute_errors(real, fc)
     errors = error_panel.values
@@ -368,6 +369,12 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
         raise PanelError(
             f"no evaluation days: need more than {cfg.error_window} days of history "
             "before the requested period")
+    span = [d.toordinal() for d in dates[eval_idx[0] - first:eval_idx[-1] + 1]]
+    missing = sorted(set(range(span[0], span[-1] + 1)).difference(span))
+    if missing:  # windows count rows, so a gap would shift every later window
+        raise PanelError(f"the panels lack {len(missing)} of the dates from "
+                         f"{dates[eval_idx[0] - first]} to {dates[eval_idx[-1]]}, first "
+                         f"{', '.join(str(datetime.date.fromordinal(o)) for o in missing[:3])}")
 
     blocks = [eval_idx[i:i + cfg.refit_every]
               for i in range(0, len(eval_idx), cfg.refit_every)]

@@ -21,8 +21,8 @@ import numpy as np
 
 from .copula import CopulaError, is_rank_matrix
 from .margins import MarginModel, quantile
-from .panel import (N_HOURS, PanelError, bulk_days, hour_names, open_csv, parse_cell,
-                    read_bulk, read_rows, write_text_rows)
+from .panel import (N_HOURS, bulk_days, first_fault, hour_names, open_csv, read_checked,
+                    repeats, write_text_rows)
 
 
 @dataclass(frozen=True)
@@ -167,60 +167,24 @@ def read_forecasts_csv(path) -> list:
     and days raise :class:`PanelError` naming ``path:line`` (of a day's first row),
     and a file without rows names ``path``.
     """
-    rows = read_bulk(path, ("date", "member"), hourly=True)
-    forecasts = None if rows is None else _bulk_forecasts(rows)
-    return _walk_forecasts(path) if forecasts is None else forecasts
+    return read_checked(path, ("date", "member"), True, _forecasts, empty="no forecasts")
 
 
-def _bulk_forecasts(rows):
-    """Forecasts of a bulk-read file, or None when a check fails."""
-    days = bulk_days(rows["date"])
-    if days is None:
-        return None
-    dates, day = days
+def _forecasts(rows, complete: bool):
+    """A forecast file's rows as forecasts, checked for :func:`read_checked`."""
+    dates, day, bad_date = bulk_days(rows["date"])
+    member = rows["member"]
+    fault = first_fault(bad_date, (repeats(day, member),
+                                   lambda i: f"duplicate member {member[i]} on {dates[day[i]]}"))
+    if fault or not complete:  # a day is checked only once all its rows are read
+        return fault, None
+    order = np.lexsort((member, day))  # day by day, members ascending
     counts = np.bincount(day)
-    m = int(counts[0])
-    if not ((counts == m).all() and np.isfinite(rows["values"]).all()):
-        return None
-    order = np.lexsort((rows["member"], day)).reshape(len(dates), m)  # day by day
-    if not (rows["member"][order] == np.arange(1, m + 1)).all():
-        return None
-    return [EnsembleForecast(date, rows["values"][rows_of_day])
-            for date, rows_of_day in zip(dates, order)]
-
-
-def _floats(cells) -> list:
-    return [float(cell) for cell in cells]
-
-
-def _walk_forecasts(path) -> list:
-    """:func:`read_forecasts_csv` row by row, raising at the first bad row."""
-    dates: dict = {}    # date text -> date
-    days: dict = {}     # date -> {member: (line, values)}
-    for lineno, row in read_rows(path, ("date", "member"), hourly=True):
-        date = dates.get(row[0])
-        if date is None:
-            date = dates[row[0]] = parse_cell(datetime.date.fromisoformat, row[0],
-                                              "date", path, lineno)
-        member = parse_cell(int, row[1], "member", path, lineno)
-        values = parse_cell(_floats, row[2:], "values", path, lineno)
-        day = days.setdefault(date, {})
-        if member in day:
-            raise PanelError(f"{path}:{lineno}: duplicate member {member} on {date}")
-        day[member] = lineno, values
-    out, m = [], None
-    for date in sorted(days):
-        day = days[date]
-        m = m or len(day)
-        if len(day) != m or min(day) != 1 or max(day) != m:
-            first = min(line for line, _ in day.values())
-            raise PanelError(f"{path}:{first}: {date} holds {len(day)} members "
-                             f"numbered {min(day)}..{max(day)}, expected 1..{m}")
-        lines, members = zip(*(day[k] for k in range(1, m + 1)))
-        finite = np.isfinite(members).all(axis=1)
-        if not finite.all():
-            raise PanelError(f"{path}:{lines[int(np.argmin(finite))]}: non-finite value")
-        out.append(EnsembleForecast(date, members))
-    if not out:
-        raise PanelError(f"{path}: no forecasts")
-    return out
+    m, ends = counts[0], np.cumsum(counts)
+    low, high = member[order][ends - counts], member[order][ends - 1]
+    for d in np.flatnonzero((counts != m) | (low != 1) | (high != m))[:1]:  # in date order
+        return (int(np.argmax(day == d)),
+                f"{dates[d]} holds {counts[d]} members numbered {low[d]}..{high[d]}, "
+                f"expected 1..{m}"), None
+    return None, [EnsembleForecast(date, rows["values"][rows_of_day])
+                  for date, rows_of_day in zip(dates, order.reshape(len(dates), m))]

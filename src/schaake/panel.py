@@ -6,13 +6,14 @@ calendar dates.  Dates are opaque labels; no timezone logic lives here.
 Every CSV file of the package is written by :func:`write_rows`, or, when no
 cell can need quoting, by :func:`write_number_rows` from numbers or by
 :func:`write_text_rows` from texts made elsewhere (forecast members).  A
-numeric file (panel, forecasts, matrix) is read by :func:`read_bulk`, one
-``np.loadtxt`` call over the whole file, and its reader checks the result as
-whole arrays; when that parse or a check fails, the reader walks the file
-again row by row with :func:`read_rows`, which names the first bad
-``path:line`` or reads what ``loadtxt`` does not (quoted cells, ``1_0``,
-whitespace).  Other files are only walked.  All are internal to the package,
-and only this module knows the CSV dialect.
+numeric file (panel, forecasts, matrix) has one check path and two parse
+front ends, joined by :func:`read_checked`: :func:`read_bulk` parses a plain
+file in one ``np.loadtxt`` call, and :func:`walk_bulk` parses any file row by
+row into the same array.  The reader's checks run once, on the arrays; when
+they fail, or the file is not plain, the walk parses it and the same checks
+name the first bad ``path:line``.  Other files are only walked, by
+:func:`read_rows`.  All are internal to the package, and only this module
+knows the CSV dialect.
 """
 from __future__ import annotations
 
@@ -123,15 +124,15 @@ def read_bulk(path, names, hourly: bool = False):
 
     The header is checked as :func:`read_rows` checks it.  One ``np.loadtxt``
     call then parses the rows into a field per name of ``names`` (``date`` as
-    text, ``member`` and ``hour`` as ints, ``value`` as a float) and, with
+    text, ``member`` and ``hour`` as int64, ``value`` as a float) and, with
     ``hourly``, a field ``values`` of the row's H floats.  A date text is read
-    as at most 11 characters, so a longer one shows as 11, never as a date.
+    as at most 11 characters, so a longer one shows as 11, which no ISO date has.
 
-    None means the caller must walk the file with :func:`read_rows`, which
-    raises any error and reads any row that is not plain: the header is bad,
-    the file has no data row, a data row holds a byte other than ``0-9+-.eE``,
-    a comma or a line end (quotes, whitespace, ``_``, ``nan``, non-ASCII
-    digits), or ``loadtxt`` rejects a row.
+    None means the caller must walk the file with :func:`walk_bulk`: the
+    header is bad, the file has no data row, a data row holds a byte other
+    than ``0-9+-.eE``, a comma or a line end (quotes, whitespace, ``_``,
+    ``nan``, non-ASCII digits), ``loadtxt`` rejects a row, or a value is not
+    finite.
     """
     with open(path, "rb") as fh:  # in chunks, to hold less than loadtxt does
         chunk = fh.read(_CHUNK)
@@ -152,28 +153,111 @@ def read_bulk(path, names, hourly: bool = False):
     if hourly:
         dtype.append(("values", np.float64, (len(header) - len(names),)))
     try:
-        return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
                           encoding="utf-8", ndmin=1)
     except ValueError:
         return None
+    return rows if np.isfinite(rows["values" if hourly else "value"]).all() else None
+
+
+def walk_bulk(path, names, hourly: bool = False):
+    """``(rows, lines, fault)``: :func:`read_bulk`'s array of any CSV file, row by row.
+
+    ``rows`` holds the rows of :func:`read_rows` before the first it refuses or
+    with a cell that ``float`` or ``int`` (to int64) does not parse or that is
+    not finite, ``lines`` their lines, and ``fault`` the :class:`PanelError`
+    naming that line and cell, or None.  Dates stay text, in full.
+    """
+    parsed, lines, fault = [], [], None
+    lead = [name for name in names if name != "value"]  # a value is the last named cell
+    try:
+        for line, cells in read_rows(path, names, hourly):
+            row = [cell if name == "date" else parse_cell(np.int64, cell, name, path, line)
+                   for name, cell in zip(lead, cells)]
+            texts = cells[len(lead):]
+            if lead and hourly:  # a forecast member's values are refused together
+                parse_cell(lambda ts: list(map(float, ts)), texts, "values", path, line)
+            values = []
+            for text in texts:  # left to right; a value that is not finite does not parse
+                values.append(parse_cell(float, text, "value", path, line))
+                if not math.isfinite(values[-1]):
+                    raise PanelError(f"{path}:{line}: non-finite value {text!r}")
+            parsed.append((*row, values) if hourly else (*row, *values))
+            lines.append(line)
+    except PanelError as exc:
+        fault = exc
+    dtype = [(name, object if name == "date" else _BULK_TYPES[name]) for name in names]
+    if hourly:
+        dtype.append(("values", np.float64, (len(parsed[0][-1]) if parsed else 0,)))
+    return np.array(parsed, dtype=dtype), lines, fault
+
+
+def read_checked(path, names, hourly: bool, check, empty: str = "no data rows"):
+    """The result of ``check`` on a numeric CSV file's rows, whichever parse read them.
+
+    ``check(rows, complete)`` gives ``(fault, result)``, ``fault`` None or
+    ``(i, text)`` for row ``i``.  :func:`read_bulk` parses the rows; when it
+    gives None or a fault, :func:`walk_bulk` parses them again, and a fault
+    raises a :class:`PanelError` naming ``path:line``.  When the walk stops at
+    a cell that does not parse, ``check(rows, False)`` checks the rows before
+    it: their fault wins, else the walk's is raised.
+    """
+    rows = read_bulk(path, names, hourly)
+    if rows is not None:
+        fault, result = check(rows, True)
+        if fault is None:
+            return result
+    rows, lines, parse_fault = walk_bulk(path, names, hourly)
+    if parse_fault is None and not len(rows):
+        raise PanelError(f"{path}: {empty}")
+    fault, result = check(rows, parse_fault is None)
+    if fault is not None:
+        raise PanelError(f"{path}:{lines[fault[0]]}: {fault[1]}")
+    if parse_fault is not None:
+        raise parse_fault
+    return result
+
+
+def first_fault(*checks):
+    """``(i, describe(i))`` for the first row ``i`` any ``(flags, describe)`` flags, or None.
+
+    Of two checks that flag one row, the earlier wins.
+    """
+    firsts = [(int(np.argmax(flags)), describe) for flags, describe in checks if flags.any()]
+    if firsts:
+        row, describe = min(firsts, key=lambda first: first[0])
+        return row, describe(row)
+    return None
+
+
+def repeats(*keys) -> np.ndarray:
+    """Flags each row whose ``keys`` all equal those of an earlier row."""
+    order = np.lexsort(keys)  # stable: of equal rows the earliest comes first
+    same = np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in keys])
+    flags = np.zeros(len(order), dtype=bool)
+    flags[order[1:][same]] = True
+    return flags
 
 
 def bulk_days(texts):
-    """``(dates, day)`` of a date field of :func:`read_bulk`, or None.
+    """``(dates, day, check)`` of the date texts of a numeric CSV's rows.
 
     ``dates`` lists the distinct dates ascending and ``day`` indexes each
     text's date in it; two texts of one date (``20200101``, ``2020-01-01``)
-    share a day.  None when a text is no date to ``date.fromisoformat``.
+    share a day.  A text is stripped and read by ``date.fromisoformat``; those
+    it refuses have ``day`` -1, and ``check`` flags them for :func:`first_fault`.
     """
-    texts, index = np.unique(texts, return_inverse=True)
-    if np.strings.str_len(texts).max() > 10:  # read_bulk cut it to 11 characters
-        return None
-    try:
-        ordinals = [datetime.date.fromisoformat(text).toordinal() for text in texts.tolist()]
-    except ValueError:
-        return None
+    unique, index = np.unique(texts, return_inverse=True)
+    ordinals, errors = np.zeros(len(unique), dtype=int), {}
+    for k, text in enumerate(unique.tolist()):
+        try:
+            ordinals[k] = datetime.date.fromisoformat(text.strip()).toordinal()
+        except ValueError as exc:  # no date has ordinal 0, so these sort first
+            errors[text] = f"bad date {text!r}: {exc}"
     ordinals, day = np.unique(ordinals, return_inverse=True)
-    return [datetime.date.fromordinal(o) for o in ordinals.tolist()], day[index]
+    day = day[index] - bool(errors)
+    dates = [datetime.date.fromordinal(o) for o in ordinals[bool(errors):].tolist()]
+    return dates, day, (day < 0, lambda i: errors[texts[i]])
 
 
 def open_csv(path):
@@ -223,7 +307,7 @@ def parse_cell(parse, text, what: str, path, lineno: int):
     """``parse(text)``; a ValueError becomes a PanelError naming ``path:lineno``."""
     try:
         return parse(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # np.int64 of an int it cannot hold
         raise PanelError(f"{path}:{lineno}: bad {what} {text!r}") from None
 
 
@@ -232,27 +316,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
     Non-numeric and non-finite cells raise :class:`PanelError` naming ``path:line``.
     """
-    rows = read_bulk(path, (), hourly=True)
-    if rows is not None and np.isfinite(rows["values"]).all():
-        return rows["values"]
-    return _walk_matrix(path)
-
-
-def _walk_matrix(path) -> np.ndarray:
-    """:func:`read_matrix_csv` row by row, raising at the first bad cell."""
-    rows = []
-    for lineno, cells in read_rows(path, (), hourly=True):
-        rows.append([_finite(cell, path, lineno) for cell in cells])
-    if not rows:
-        raise PanelError(f"{path}: no data rows")
-    return np.array(rows)
-
-
-def _finite(text, path, lineno: int) -> float:
-    value = parse_cell(float, text, "value", path, lineno)
-    if not math.isfinite(value):
-        raise PanelError(f"{path}:{lineno}: non-finite value {text!r}")
-    return value
+    return read_checked(path, (), True, lambda rows, complete: (None, rows["values"]))
 
 
 def load_panel(path, role: str = "realization") -> HourlyPanel:
@@ -262,9 +326,8 @@ def load_panel(path, role: str = "realization") -> HourlyPanel:
     24 distinct hours are dropped with a warning; duplicate cells, hours
     outside 1..24 and non-finite values raise :class:`PanelError`.
     """
-    rows = read_bulk(path, ("date", "hour", "value"))
-    cells = None if rows is None else _bulk_cells(rows)
-    dates, day, hour, value = cells or _walk_panel(path)
+    dates, day, hour, value = read_checked(path, ("date", "hour", "value"), False,
+                                           _panel_cells)
     cell = day * N_HOURS + hour - 1
     grid = np.empty((len(dates), N_HOURS))
     grid.flat[cell] = value
@@ -279,43 +342,17 @@ def load_panel(path, role: str = "realization") -> HourlyPanel:
     return HourlyPanel(tuple(d for d, keep in zip(dates, complete) if keep), grid[complete])
 
 
-def _bulk_cells(rows):
-    """``(dates, day, hour, value)`` of a bulk-read panel, or None when a check fails."""
-    days = bulk_days(rows["date"])
-    hour, value = rows["hour"], rows["value"]
-    if days is None or not (((hour >= 1) & (hour <= N_HOURS)).all()
-                            and np.isfinite(value).all()):
-        return None
-    dates, day = days
-    if np.bincount(day * N_HOURS + hour - 1).max() > 1:  # a duplicate cell
-        return None
-    return dates, day, hour, value
-
-
-def _walk_panel(path):
-    """:func:`load_panel`'s cells row by row, raising at the first bad row."""
-    dates: dict = {}   # date text -> date
-    cells: dict = {}   # (date, hour) -> value
-    for lineno, row in read_rows(path, ("date", "hour", "value")):
-        date = dates.get(row[0])
-        if date is None:
-            try:
-                date = dates[row[0]] = datetime.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise PanelError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from None
-        hour = parse_cell(int, row[1], "hour", path, lineno)
-        if not 1 <= hour <= N_HOURS:
-            raise PanelError(f"{path}:{lineno}: hour {hour} outside 1..{N_HOURS}")
-        value = _finite(row[2], path, lineno)
-        if (date, hour) in cells:
-            raise PanelError(f"{path}:{lineno}: duplicate cell ({date}, hour {hour})")
-        cells[date, hour] = value
-    if not cells:
-        raise PanelError(f"{path}: no data rows")
-    sorted_dates = sorted(set(dates.values()))
-    index = {date: i for i, date in enumerate(sorted_dates)}
-    day, hour = np.array([(index[date], hour) for date, hour in cells]).T
-    return sorted_dates, day, hour, np.array(list(cells.values()))
+def _panel_cells(rows, complete: bool):
+    """A panel's rows as ``(dates, day, hour, value)``, checked for :func:`read_checked`."""
+    dates, day, bad_date = bulk_days(rows["date"])
+    hour = rows["hour"]
+    # one key per cell: a row whose date or hour is bad may share one, but its own
+    # fault, on its line or an earlier one, comes first
+    cell = day * N_HOURS + hour
+    fault = first_fault(
+        bad_date, ((hour < 1) | (hour > N_HOURS), lambda i: f"hour {hour[i]} outside 1..{N_HOURS}"),
+        (repeats(cell), lambda i: f"duplicate cell ({dates[day[i]]}, hour {hour[i]})"))
+    return fault, (dates, day, hour, rows["value"])
 
 
 def save_panel(panel: HourlyPanel, path) -> None:
@@ -328,5 +365,8 @@ def save_panel(panel: HourlyPanel, path) -> None:
 def compute_errors(real: HourlyPanel, fc: HourlyPanel) -> HourlyPanel:
     """Cell-wise forecast errors, realization minus forecast."""
     if real.dates != fc.dates:
-        raise PanelError("realization and forecast panels have different dates")
+        only = [", ".join(map(str, sorted(set(a.dates) - set(b.dates))[:3])) or "none"
+                for a, b in ((real, fc), (fc, real))]
+        raise PanelError(f"realization and forecast panels have different dates: first only "
+                         f"in the realization {only[0]}; first only in the forecast {only[1]}")
     return HourlyPanel(real.dates, real.values - fc.values)

@@ -20,7 +20,7 @@ from schaake.backtest import (
 )
 from schaake.filters import SARIMA, FilterSpec
 from schaake.forecast import EnsembleForecast, write_forecasts_csv
-from schaake.panel import load_panel, save_panel
+from schaake.panel import HourlyPanel, load_panel, save_panel
 from schaake.scoring import dm_test
 
 # joint forecast implied by the worked-example quantiles and rank matrix
@@ -263,6 +263,32 @@ def test_cli_backtest_writes_setting_whose_every_day_was_skipped(panel_csvs, tmp
                                  "--forecasts", str(empty)])
         assert rc == 2
         assert capsys.readouterr().err == f"schaake: data error: {empty}: no forecasts\n"
+
+
+@pytest.mark.parametrize("drop_from, match", [
+    # a date in one panel only
+    (("fc",), r"different dates: first only in the realization (\S+); first only in the "
+              r"forecast none$"),
+    # a date in neither, inside the windows: they count rows as days
+    (("real", "fc"), r"the panels lack 1 of the dates from \S+ to \S+, first (\S+)$"),
+])
+def test_cli_backtest_refuses_a_missing_date(panel_csvs, tmp_path, capsys, drop_from, match):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                               "dependence_window": 40, "settings": ["Schaake-Raw"]}))
+    args = ["backtest", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    for name, option in (("real", "--real"), ("fc", "--forecast")):
+        panel = load_panel(panel_csvs / f"{name}.csv")
+        dropped = panel.dates[50]  # of 126 days, inside the first evaluation day's window
+        if name in drop_from:
+            panel = HourlyPanel(panel.dates[:50] + panel.dates[51:],
+                                np.delete(panel.values, 50, axis=0))
+        save_panel(panel, tmp_path / f"{name}.csv")
+        args += [option, str(tmp_path / f"{name}.csv")]
+    rc = cli.main(args)
+    err = capsys.readouterr().err.strip()
+    assert rc == 2
+    assert re.search(match, err).group(1) == dropped.isoformat()
 
 
 def _rows(path):

@@ -298,6 +298,21 @@ DAY1 = ["2020-01-01,1,1.0,2.0", "2020-01-01,2,3.0,4.0"]
     (["date,member,h1,h2", "2020-01-01,1,1.0,x", "2020-01-01,2,3.0"], r":2: bad values"),
     (["date,member,h1,h2", "2020-01-01,1,1.0,x", "2020-01-02,1,nan,2.0"], r":2: bad values"),
     (["date,member,h1,h2"], r": no forecasts"),
+    # the earliest line wins, whether a check fault or a cell that does not parse
+    (["date,member,h1", "2020-01-01,1,inf", "2020-01-01,2,3", "2020-01-01,2,5"],
+     r":2: non-finite value 'inf'"),
+    (["date,member,h1,h2"] + DAY1 + ["2020-01-01,2,5.0,6.0", "2020-01-02,1,inf,2.0"],
+     r":4: duplicate member 2 on 2020-01-01"),
+    (["date,member,h1,h2"] + DAY1 + ["2020-01-01,1,5.0,6.0", "2020-01-02,1,1e500,2.0"],
+     r":4: duplicate member 1 on 2020-01-01"),
+    (["date,member,h1,h2", "2020-02-30,1,1.0,2.0", "2020-01-01,1,x,2.0"],
+     r":2: bad date '2020-02-30'"),
+    (["date,member,h1,h2", "2020-01-01,1,1.0,1e500"] + DAY1, r":2: non-finite value '1e500'"),
+    # a day fault waits for the whole file, so a later bad value wins
+    (["date,member,h1,h2", "2020-01-01,1,1.0,2.0", "2020-01-01,3,3.0,4.0",
+      "2020-01-02,1,x,2.0"], r":4: bad values \['x', '2\.0'\]"),
+    (["date,member,h1,h2", "2020-01-01,1,1.0,2.0", "2020-01-01,3,3.0,4.0",
+      "2020-01-02,1,inf,2.0"], r":4: non-finite value 'inf'"),
 ])
 def test_read_forecasts_csv_rejects_malformed_rows(tmp_path, lines, match):
     path = tmp_path / "fc.csv"

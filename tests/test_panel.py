@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schaake import forecast as forecast_module
 from schaake import panel as panel_module
 from schaake.forecast import read_forecasts_csv
 from schaake.panel import (
@@ -102,6 +101,10 @@ def test_non_finite_value_rejected(tmp_path):
     ({5: (None, "x"), 8: (25, None)}, r":7: bad value 'x'"),
     ({5: (None, "x"), 8: ("first", None)}, r":7: bad value 'x'"),
     ({5: (3, "x")}, r":7: bad value 'x'"),
+    # a check fault before a later parse fault, and a parse fault before a later check fault
+    ({3: (25, None), 8: (None, "x")}, r":5: hour 25 outside 1\.\.24"),
+    ({3: (3, None), 8: (None, "1e500")}, r":5: duplicate cell \(2020-01-01, hour 3\)"),
+    ({3: (None, "1e500"), 8: (3, None)}, r":5: non-finite value '1e500'"),
 ])
 def test_load_panel_names_the_first_bad_line(tmp_path, changes, match):
     # values are cast in bulk, after the row checks; an earlier bad value
@@ -161,6 +164,18 @@ def test_compute_errors_matches_elementwise_loop():
             assert errs.values[t, h] == real.values[t, h] - fc.values[t, h]
     # adding the forecast back recovers the realization up to rounding
     assert np.allclose(errs.values + fc.values, real.values, rtol=0, atol=1e-12)
+
+
+def test_compute_errors_names_dates_of_one_panel_only():
+    days = [datetime.date(2020, 1, d) for d in range(1, 11)]
+    real = HourlyPanel(days[:8], np.zeros((8, N_HOURS)))
+    fc = HourlyPanel(days[:1] + days[6:], np.zeros((5, N_HOURS)))
+    with pytest.raises(PanelError) as exc:
+        compute_errors(real, fc)
+    assert str(exc.value) == (
+        "realization and forecast panels have different dates: first only in the "
+        "realization 2020-01-02, 2020-01-03, 2020-01-04; first only in the forecast "
+        "2020-01-09, 2020-01-10")
 
 
 def test_compute_errors_date_mismatch():
@@ -377,9 +392,9 @@ def _bits(result):
 def outcome(read, path, walk: bool = False):
     """``read(path)`` as comparable data: its result or error, and its warnings."""
     with contextlib.ExitStack() as stack:
-        if walk:  # every reader finds read_bulk where it was imported
-            for module in (panel_module, forecast_module):
-                stack.enter_context(mock.patch.object(module, "read_bulk", lambda *a, **k: None))
+        if walk:  # every reader's bulk parse is read_checked's call of read_bulk
+            stack.enter_context(mock.patch.object(panel_module, "read_bulk",
+                                                  lambda *a, **k: None))
         caught = stack.enter_context(warnings.catch_warnings(record=True))
         warnings.simplefilter("always")
         try:
@@ -419,9 +434,7 @@ def _no_walk(*args):
 
 
 def test_plain_files_are_not_walked(tmp_path, monkeypatch):
-    for module, walker in ((panel_module, "_walk_panel"), (panel_module, "_walk_matrix"),
-                           (forecast_module, "_walk_forecasts")):
-        monkeypatch.setattr(module, walker, _no_walk)
+    monkeypatch.setattr(panel_module, "walk_bulk", _no_walk)
     path = tmp_path / "p.csv"
     # interleaved days, hours out of order, \r\n line ends and a blank line
     rows = full_day("2020-01-02", 1.0) + full_day("2020-01-01", 2.0)[::-1]
