@@ -1,13 +1,15 @@
 """Rolling-window backtest driver.
 
-For every evaluation day and setting the driver (1) fits the setting's error
-filter on the trailing error window, (2) builds the margins of all 24 hours
-from the most recent standardized residuals and PITs the dependence window
-through them, and (3) constructs the (m, 24) quantile ensemble matrix and
-pairs its rows by rank matrix or independent permutation.  Windows roll
-forward one day at a time.  The collected forecasts are then (4) scored
-against realizations by :func:`scoring.score_forecasts`, the same function
-``schaake evaluate`` uses.
+The evaluation days run in blocks of ``refit_every`` days.  The driver (1)
+fits each setting's error filter once per block, on the error window before
+the block's first day, and for every evaluation day and setting recomputes
+the filter's paths on the day's trailing error window from the block's
+params, (2) builds the margins of all 24 hours from the most recent
+standardized residuals and PITs the dependence window through them, and (3)
+constructs the (m, 24) quantile ensemble matrix and pairs its rows by rank
+matrix or independent permutation.  Windows roll forward one day at a time.
+The collected forecasts are then (4) scored against realizations by
+:func:`scoring.score_forecasts`, the same function ``schaake evaluate`` uses.
 
 A setting whose filter cannot be fitted on a block's window, or whose
 copula cannot be learned from a day's PIT history, skips that day; the
@@ -169,7 +171,8 @@ class BacktestResult:
 
         Days skipped for either setting of a pair are excluded pairwise.
         Returns rows (setting_a, setting_b, metric, statistic, p_value);
-        statistic and p are None when the score series coincide.
+        statistic and p are None when the score series coincide or the pair
+        shares fewer than two scored days.
         """
         rows = []
         names = [s for s in self.scores]

@@ -3,11 +3,13 @@
 Three filters are available: a raw pass-through, an AR(1)-GARCH(1,1)
 estimated by Gaussian quasi-maximum likelihood, and a seasonal AR model
 (one regular and one seasonal AR coefficient, homoskedastic residuals)
-estimated by conditional least squares.  A fit takes one hour's (n,) error
-window or an (n, H) window of H hours, each column fitted on its own.  It
-yields the conditional standard deviation path over the learning window,
-the standardized residuals, and a one-step-ahead (mu, sigma) forecast for
-the target day; an (n, H) window gives (n, H) paths and (H,) forecasts.
+estimated by conditional least squares.  ``fit_filter`` fits one hour's
+(n,) error window or an (n, H) window of H hours, each column on its own,
+and ``filter_output`` recomputes the paths of a window for given params.
+Both yield the conditional standard deviation path over the learning
+window, the standardized residuals, and a one-step-ahead (mu, sigma)
+forecast for the target day; an (n, H) window gives (n, H) paths and (H,)
+forecasts.  One function computes these paths for all three filters.
 
 The AR-GARCH likelihoods of all H hours are evaluated together: the
 variance recursion runs as one linear filter call per hour and its gradient
@@ -109,21 +111,8 @@ class FilterOutput:
 
 
 def _rows(eps: np.ndarray) -> np.ndarray:
-    """An (n,) or (n, H) window as (H, n), one contiguous row per hour."""
-    return np.ascontiguousarray(eps.reshape(eps.shape[0], -1).T)
-
-
-def _output(eps, sigma, z, mu_next, sigma_next) -> FilterOutput:
-    """FilterOutput shaped like ``eps`` from (H, n) paths and (H,) forecasts."""
-    if eps.ndim == 1:
-        return FilterOutput(sigma[0], z[0], (float(mu_next[0]), float(sigma_next[0])))
-    return FilterOutput(np.ascontiguousarray(sigma.T), np.ascontiguousarray(z.T),
-                        (mu_next, sigma_next))
-
-
-def _per_hour(eps: np.ndarray, params):
-    """``params`` as a list with one entry per column of ``eps``."""
-    return [params] if eps.ndim == 1 else list(params)
+    """An (n,) or (n, H) window as (H, n), one contiguous row per hour, in new memory."""
+    return np.array(eps.reshape(eps.shape[0], -1).T, order="C")
 
 
 def _hours(eps: np.ndarray, columns) -> str:
@@ -348,7 +337,7 @@ def _bfgs(fun, x0, args, h0):
     return x_out, f_out, converged
 
 
-def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
+def _fit_argarch(eps: np.ndarray, seed: int) -> list:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to an (n,) or (n, H) window.
 
     Each column is one hour's series.  The search runs in a transformed
@@ -362,10 +351,8 @@ def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
     keeps its lowest-NLL point.  Raises ``FitError``, naming the hours, when
     all 5 of an hour's searches fail to converge.
 
-    Returns ``(params, FilterOutput)``: one ``ArGarchParams`` and (n,) paths
-    for an (n,) window, a list of H and (n, H) paths for an (n, H) one.
+    Returns a list of one ``ArGarchParams`` per column.
     """
-    eps = np.asarray(eps, dtype=float)
     rows = _rows(eps)
     n = rows.shape[1]
     if n < _MIN_ARGARCH_WINDOW:
@@ -401,26 +388,7 @@ def fit_argarch(eps: np.ndarray, seed: int = 0) -> tuple:
         except ValueError as exc:
             raise FitError(f"AR-GARCH estimate outside parameter space"
                            f"{_hours(eps, [h])}: {exc}") from None
-    if eps.ndim == 1:
-        return params[0], argarch_output(eps, params[0])
-    return params, argarch_output(eps, params)
-
-
-def argarch_output(eps: np.ndarray, params) -> FilterOutput:
-    """Filtered paths and one-step forecasts for given AR-GARCH parameters.
-
-    ``params`` is one ``ArGarchParams`` for an (n,) window and a sequence of
-    one per column for an (n, H) window.
-    """
-    eps = np.asarray(eps, dtype=float)
-    plist = _per_hour(eps, params)
-    c, phi, omega, alpha, beta = (np.array(v) for v in zip(
-        *((p.c, p.phi, p.omega, p.alpha, p.beta) for p in plist)))
-    rows = _rows(eps)
-    e, h = _argarch_paths(rows, c, phi, omega, alpha, beta)
-    sigma = np.sqrt(h)
-    return _output(eps, sigma[:, :-1], e / sigma[:, :-1],
-                   c + phi * rows[:, -1], sigma[:, -1])
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +402,15 @@ def _sarima_residuals(coef, eps, s):
             + phi1 * sphi * eps[:-s - 1])
 
 
-def fit_sarima(eps: np.ndarray, seasonal_period: int = 7) -> tuple:
+def _fit_sarima(eps: np.ndarray, seasonal_period: int) -> list:
     """Fit the seasonal AR model by conditional least squares.
 
     The model has one AR coefficient at lag 1 and one seasonal AR coefficient
     at lag ``seasonal_period``; with no MA terms, conditional least squares on
     the multiplicative representation is exact.  The residual standard
     deviation serves as the constant sigma path.  An (n, H) window is fitted
-    column by column and returns a list of H params and (n, H) paths.
+    column by column.  Returns a list of one ``SarimaParams`` per column.
     """
-    eps = np.asarray(eps, dtype=float)
     rows = _rows(eps)
     s = int(seasonal_period)
     if rows.shape[1] < 3 * s:
@@ -469,49 +436,56 @@ def fit_sarima(eps: np.ndarray, seasonal_period: int = 7) -> tuple:
         except ValueError as exc:
             raise FitError(f"seasonal AR estimate outside parameter space{where}: "
                            f"{exc}") from None
-    if eps.ndim == 1:
-        return params[0], sarima_output(eps, params[0])
-    return params, sarima_output(eps, params)
+    return params
 
 
-def sarima_output(eps: np.ndarray, params) -> FilterOutput:
-    """Filtered paths and one-step forecasts for given seasonal AR parameters.
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
 
-    ``params`` is one ``SarimaParams`` for an (n,) window and a sequence of
-    one per column, all with the same seasonal period, for an (n, H) window.
+def _paths(eps: np.ndarray, spec: FilterSpec, params) -> FilterOutput:
+    """Filtered paths and one-step forecasts of ``eps`` for an existing estimate.
+
+    ``eps`` and ``params`` have the shapes ``filter_output`` takes.  Every
+    filter computes its (H, n) paths and (H,) forecasts on the rows of
+    ``eps``, one hour per row; the result is then shaped like ``eps``.
     """
-    eps = np.asarray(eps, dtype=float)
-    plist = _per_hour(eps, params)
-    s = plist[0].seasonal_period
-    c, phi1, sphi, sig = (np.array(v)[:, None] for v in zip(
-        *((p.c, p.phi1, p.seasonal_phi, p.sigma) for p in plist)))
     rows = _rows(eps)
-    n = rows.shape[1]
-    mu = np.full(rows.shape, c / ((1.0 - phi1) * (1.0 - sphi)))
-    if n > s + 1:
-        mu[:, s + 1:] = (c + phi1 * rows[:, s:-1] + sphi * rows[:, 1:-s]
-                         - phi1 * sphi * rows[:, :-s - 1])
-    sigma = np.full(rows.shape, sig)
-    mu_next = (c + phi1 * rows[:, -1:] + sphi * rows[:, -s:1 - s]
-               - phi1 * sphi * rows[:, -s - 1:-s])
-    return _output(eps, sigma, (rows - mu) / sigma, mu_next[:, 0], sig[:, 0])
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-def _raw_output(eps: np.ndarray) -> FilterOutput:
-    hours = eps.shape[1:]
-    return FilterOutput(np.ones_like(eps), eps.copy(),
-                        (0.0, 1.0) if not hours else (np.zeros(hours), np.ones(hours)))
+    plist = [params] if eps.ndim == 1 else params
+    if spec.kind == RAW:
+        sigma, z = np.ones(rows.shape), rows
+        mu_next, sigma_next = np.zeros(len(rows)), np.ones(len(rows))
+    elif spec.kind == AR_GARCH:
+        c, phi, omega, alpha, beta = (np.array(v) for v in zip(
+            *((p.c, p.phi, p.omega, p.alpha, p.beta) for p in plist)))
+        e, h = _argarch_paths(rows, c, phi, omega, alpha, beta)
+        sd = np.sqrt(h)
+        sigma, z = sd[:, :-1], e / sd[:, :-1]
+        mu_next, sigma_next = c + phi * rows[:, -1], sd[:, -1]
+    else:
+        s = plist[0].seasonal_period
+        c, phi1, sphi, sig = (np.array(v)[:, None] for v in zip(
+            *((p.c, p.phi1, p.seasonal_phi, p.sigma) for p in plist)))
+        mu = np.full(rows.shape, c / ((1.0 - phi1) * (1.0 - sphi)))
+        if rows.shape[1] > s + 1:
+            mu[:, s + 1:] = (c + phi1 * rows[:, s:-1] + sphi * rows[:, 1:-s]
+                             - phi1 * sphi * rows[:, :-s - 1])
+        sigma = np.full(rows.shape, sig)
+        z = (rows - mu) / sigma
+        mu_next = (c + phi1 * rows[:, -1:] + sphi * rows[:, -s:1 - s]
+                   - phi1 * sphi * rows[:, -s - 1:-s])[:, 0]
+        sigma_next = sig[:, 0]
+    if eps.ndim == 1:
+        return FilterOutput(sigma[0], z[0], (float(mu_next[0]), float(sigma_next[0])))
+    return FilterOutput(np.ascontiguousarray(sigma.T), np.ascontiguousarray(z.T),
+                        (mu_next, sigma_next))
 
 
 def fit_filter(errors, spec: FilterSpec, seed: int = 0):
     """Fit the filter named by ``spec`` to an (n,) or (n, H) error window.
 
     Each column of an (n, H) window is one hour, fitted on its own; AR-GARCH
-    fits search all hours at once (see ``fit_argarch``).  Returns
+    fits search all hours at once (see ``_fit_argarch``).  Returns
     ``(params, FilterOutput)``: for an (n,) window one params object and (n,)
     paths, for an (n, H) window a list of H params and (n, H) paths.  Params
     are None for the raw filter, which is the identity with one-step
@@ -520,11 +494,16 @@ def fit_filter(errors, spec: FilterSpec, seed: int = 0):
     eps = np.asarray(errors, dtype=float)
     if eps.ndim not in (1, 2) or eps.size < 1:
         raise FitError("error window must be a non-empty (n,) or (n, H) array")
-    if spec.kind == RAW:
-        return (None if eps.ndim == 1 else [None] * eps.shape[1]), _raw_output(eps)
     if spec.kind == AR_GARCH:
-        return fit_argarch(eps, seed=seed)
-    return fit_sarima(eps, seasonal_period=spec.seasonal_period)
+        params = _fit_argarch(eps, seed)
+    elif spec.kind == SARIMA:
+        params = _fit_sarima(eps, spec.seasonal_period)
+    else:  # the raw filter has no params: None per column
+        params = [None] * (eps.size // len(eps))
+    if eps.ndim == 1:
+        params = params[0]
+    # _paths, not filter_output: bench/spans.py counts filter_output's calls as passes
+    return params, _paths(eps, spec, params)
 
 
 def filter_output(eps, spec: FilterSpec, params) -> FilterOutput:
@@ -533,9 +512,4 @@ def filter_output(eps, spec: FilterSpec, params) -> FilterOutput:
     ``eps`` and ``params`` have the shapes ``fit_filter`` takes and returns:
     an (n,) window with one params object, or an (n, H) window with a list.
     """
-    eps = np.asarray(eps, dtype=float)
-    if spec.kind == RAW:
-        return _raw_output(eps)
-    if spec.kind == AR_GARCH:
-        return argarch_output(eps, params)
-    return sarima_output(eps, params)
+    return _paths(np.asarray(eps, dtype=float), spec, params)

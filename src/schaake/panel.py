@@ -117,6 +117,8 @@ def read_rows(path, names, hourly: bool = False):
 _PLAIN = b"0123456789+-.eE,\r\n"
 _BULK_TYPES = {"date": "U11", "member": np.int64, "hour": np.int64, "value": np.float64}
 _CHUNK = 1 << 16
+# the whitespace that ``float`` strips from a number: str.isspace's, less \x1c-\x1f
+_SPACE = re.compile(r"^[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")
 
 
 def read_bulk(path, names, hourly: bool = False):
@@ -244,14 +246,15 @@ def bulk_days(texts):
 
     ``dates`` lists the distinct dates ascending and ``day`` indexes each
     text's date in it; two texts of one date (``20200101``, ``2020-01-01``)
-    share a day.  A text is stripped and read by ``date.fromisoformat``; those
-    it refuses have ``day`` -1, and ``check`` flags them for :func:`first_fault`.
+    share a day.  A text is stripped of the whitespace ``float`` strips from a
+    value and read by ``date.fromisoformat``; those it refuses have ``day``
+    -1, and ``check`` flags them for :func:`first_fault`.
     """
     unique, index = np.unique(texts, return_inverse=True)
     ordinals, errors = np.zeros(len(unique), dtype=int), {}
     for k, text in enumerate(unique.tolist()):
         try:
-            ordinals[k] = datetime.date.fromisoformat(text.strip()).toordinal()
+            ordinals[k] = datetime.date.fromisoformat(_SPACE.sub("", text)).toordinal()
         except ValueError as exc:  # no date has ordinal 0, so these sort first
             errors[text] = f"bad date {text!r}: {exc}"
     ordinals, day = np.unique(ordinals, return_inverse=True)

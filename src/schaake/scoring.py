@@ -20,7 +20,7 @@ AVG_RANK_BINS = 10
 
 
 class DegenerateScoreDifference(ValueError):
-    """Score differences have zero variance; the DM test is undefined."""
+    """Score differences have zero variance or are fewer than two; the DM test is undefined."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,10 @@ def dm_test(s1, s2):
     """
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    if s1.shape != s2.shape or s1.ndim != 1 or s1.size < 2:
-        raise ValueError("score series must be equal-length vectors with T >= 2")
+    if s1.shape != s2.shape or s1.ndim != 1:
+        raise ValueError("score series must be equal-length vectors")
+    if s1.size < 2:
+        raise DegenerateScoreDifference("a DM test needs T >= 2 score differences")
     delta = s1 - s2
     sd = float(np.std(delta, ddof=1))
     if sd == 0.0:

@@ -22,7 +22,7 @@ from _simulate import (
 )
 from schaake import cli
 from schaake.backtest import BacktestConfig, run_backtest, run_toy_example
-from schaake.filters import fit_argarch, fit_sarima
+from schaake.filters import AR_GARCH, SARIMA, FilterSpec, fit_filter
 from schaake.loadprofile import daily_price, default_profile, scenario_daily_prices
 from schaake.panel import save_panel
 from schaake.scoring import (
@@ -175,7 +175,7 @@ def test_criterion_6_filter_recovery(capsys):
     hits = 0
     for seed in range(20):
         eps = argarch_series(5000, 0.0, 0.5, 0.1, 0.1, 0.8, seed=600 + seed)
-        params, _ = fit_argarch(eps)
+        params, _ = fit_filter(eps, FilterSpec(AR_GARCH))
         hits += all(abs(getattr(params, k) - v) <= 0.1 for k, v in truth.items())
     sarima_hits = 0
     for seed in range(20):
@@ -184,7 +184,7 @@ def test_criterion_6_filter_recovery(capsys):
         e = rng.standard_normal(2300)
         for t in range(8, 2300):
             x[t] = 0.5 * x[t - 1] + 0.4 * x[t - 7] - 0.2 * x[t - 8] + e[t]
-        params, _ = fit_sarima(x[300:], 7)
+        params, _ = fit_filter(x[300:], FilterSpec(SARIMA, seasonal_period=7))
         sarima_hits += (abs(params.phi1 - 0.5) <= 0.05
                         and abs(params.seasonal_phi - 0.4) <= 0.05)
     elapsed = time.time() - t0

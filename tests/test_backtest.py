@@ -336,6 +336,43 @@ def test_cli_evaluate_aligns_files_on_dates(panel_csvs, tmp_path, capsys, short_
     assert dm["crps"] == ["", ""]  # the two files share margins on the common dates
 
 
+def test_cli_backtest_writes_dm_rows_for_one_evaluation_day(panel_csvs, tmp_path, capsys):
+    # the DM test needs two days; a pair with one gets empty cells, not an exit 2
+    last = load_panel(panel_csvs / "real.csv").dates[-1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                               "dependence_window": 40, "eval_start": last.isoformat(),
+                               "settings": ["Schaake-Raw", "I-Raw"]}))
+    out_dir = tmp_path / "out"
+    rc = cli.main(["backtest", "--real", str(panel_csvs / "real.csv"),
+                   "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
+                   "--out-dir", str(out_dir), "--jobs", "1"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert {row[0] for row in _rows(out_dir / "scores.csv")} == {last.isoformat()}
+    assert _rows(out_dir / "dm_tests.csv") == [["Schaake-Raw", "I-Raw", metric, "", ""]
+                                               for metric in ("es", "crps")]
+
+
+def test_cli_evaluate_writes_dm_rows_for_files_sharing_one_date(panel_csvs, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = small_config(settings=("Schaake-Raw", "I-Raw"), seed=3)
+    run_backtest(load_panel(panel_csvs / "real.csv"), load_panel(panel_csvs / "fc.csv"),
+                 cfg).write_outputs(out_dir)
+    full = out_dir / "forecasts_Schaake-Raw.csv"
+    short = tmp_path / "forecasts_I-Raw.csv"
+    last = max(row[0] for row in _rows(full))
+    _keep_forecast_rows(out_dir / "forecasts_I-Raw.csv", short, lambda d, k: d == last)
+    eval_dir = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"),
+                   "--forecasts", str(full), "--forecasts", str(short),
+                   "--out-dir", str(eval_dir)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert _rows(eval_dir / "dm_tests.csv") == [["Schaake-Raw", "I-Raw", metric, "", ""]
+                                                for metric in ("es", "crps")]
+
+
 def test_cli_evaluate_rejects_mixed_member_counts(panel_csvs, tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = small_config(settings=("Schaake-Raw",), seed=3)

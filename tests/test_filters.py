@@ -14,12 +14,11 @@ from schaake.filters import (
     RAW,
     SARIMA,
     ArGarchParams,
+    FilterOutput,
     FilterSpec,
     FitError,
-    argarch_output,
-    fit_argarch,
     fit_filter,
-    fit_sarima,
+    filter_output,
 )
 
 
@@ -62,7 +61,7 @@ def test_raw_filter_is_identity():
 
 def test_argarch_recovers_known_parameters():
     eps = argarch_series(5000, 0.0, 0.5, 0.1, 0.1, 0.8, seed=42)
-    params, out = fit_argarch(eps)
+    params, out = fit_filter(eps, FilterSpec(AR_GARCH))
     truth = {"c": 0.0, "phi": 0.5, "omega": 0.1, "alpha": 0.1, "beta": 0.8}
     for key, value in truth.items():
         assert abs(getattr(params, key) - value) <= 0.1, key
@@ -72,7 +71,7 @@ def test_argarch_recovers_known_parameters():
 
 def test_argarch_on_iid_normal_input():
     eps = rng_for(7).standard_normal(5000)
-    params, out = fit_argarch(eps)
+    params, out = fit_filter(eps, FilterSpec(AR_GARCH))
     uncond = params.omega / (1.0 - params.alpha - params.beta)
     assert 0.8 <= uncond <= 1.25
     assert abs(out.z.mean()) <= 0.1
@@ -81,15 +80,15 @@ def test_argarch_on_iid_normal_input():
 def test_argarch_standardization_quality():
     # well-specified data: standardized residuals close to mean 0, sd 1
     eps = argarch_series(2000, 0.1, 0.3, 0.2, 0.1, 0.8, seed=9)
-    _, out = fit_argarch(eps)
+    _, out = fit_filter(eps, FilterSpec(AR_GARCH))
     assert abs(out.z.mean()) <= 0.15
     assert 0.85 <= out.z.std() <= 1.15
 
 
 def test_argarch_scale_equivariance():
     eps = argarch_series(2000, 0.0, 0.4, 0.1, 0.1, 0.8, seed=21)
-    _, out1 = fit_argarch(eps)
-    _, out2 = fit_argarch(1000.0 * eps)
+    _, out1 = fit_filter(eps, FilterSpec(AR_GARCH))
+    _, out2 = fit_filter(1000.0 * eps, FilterSpec(AR_GARCH))
     assert np.max(np.abs(out1.z - out2.z)) <= 1e-3
 
 
@@ -116,7 +115,7 @@ def test_argarch_output_matches_scalar_recursion():
     eps = argarch_series(364, 0.2, 0.3, 0.1, 0.1, 0.8, seed=4)
     params = ArGarchParams(0.1, 0.3, 0.2, 0.1, 0.85)
     e, h = reference_argarch_paths(eps, 0.1, 0.3, 0.2, 0.1, 0.85)
-    out = argarch_output(eps, params)
+    out = filter_output(eps, FilterSpec(AR_GARCH), params)
     np.testing.assert_allclose(out.sigma_hat, np.sqrt(h[:-1]), rtol=1e-12)
     np.testing.assert_allclose(out.z, e / np.sqrt(h[:-1]), rtol=1e-12, atol=1e-14)
     assert out.one_step[0] == pytest.approx(0.1 + 0.3 * eps[-1], rel=1e-12)
@@ -133,7 +132,7 @@ def test_argarch_fit_improves_on_start_and_truth(monkeypatch):
         return bfgs(fun, x0, *args)
 
     monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
-    params, _ = fit_argarch(eps)
+    params, _ = fit_filter(eps, FilterSpec(AR_GARCH))
     fitted = reference_nll(eps, params)
     assert fitted <= filters._argarch_objective(starts[0][None], eps[None])[0][0]
     assert fitted <= reference_nll(eps, ArGarchParams(0.0, 0.3, 0.1, 0.1, 0.8))
@@ -141,8 +140,8 @@ def test_argarch_fit_improves_on_start_and_truth(monkeypatch):
 
 def test_argarch_refit_is_bit_identical():
     eps = rng_for(13).standard_normal(364)
-    p1, out1 = fit_argarch(eps, seed=3)
-    p2, out2 = fit_argarch(eps, seed=3)
+    p1, out1 = fit_filter(eps, FilterSpec(AR_GARCH), seed=3)
+    p2, out2 = fit_filter(eps, FilterSpec(AR_GARCH), seed=3)
     assert p1 == p2
     for a, b in ((out1.sigma_hat, out2.sigma_hat), (out1.z, out2.z)):
         assert np.array_equal(a, b)
@@ -158,7 +157,7 @@ def test_argarch_fails_loudly_without_convergence(monkeypatch):
 
     monkeypatch.setattr(filters, "_bfgs", unconverged_bfgs)
     with pytest.raises(FitError, match="did not converge after 5 attempts"):
-        fit_argarch(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1))
+        fit_filter(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1), FilterSpec(AR_GARCH))
     assert len(calls) == 5
 
 
@@ -171,8 +170,8 @@ def test_argarch_fit_emits_no_numeric_warnings():
         assert nll[0] == math.inf and not np.any(grad)
         for seed in range(12):
             window = 3.0 * rng_for(400 + seed).standard_normal(364)
-            fit_argarch(window, seed=seed)
-        fit_argarch(3.0 * rng_for(450).standard_normal((364, 12)), seed=12)
+            fit_filter(window, FilterSpec(AR_GARCH), seed=seed)
+        fit_filter(3.0 * rng_for(450).standard_normal((364, 12)), FilterSpec(AR_GARCH), seed=12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -209,7 +208,7 @@ def test_argarch_batch_fit_is_no_worse_than_lbfgsb():
     # start, plus 1e-9 nat/obs
     for seed in range(4):
         window = argarch_copula_errors(364, 0.6, seed=900 + seed)
-        params, _ = fit_argarch(window)
+        params, _ = fit_filter(window, FilterSpec(AR_GARCH))
         rows = np.ascontiguousarray(window.T)
         theta0 = filters._argarch_start(rows, rows.var(axis=1))
         for h, p in enumerate(params):
@@ -223,7 +222,7 @@ def test_argarch_batch_names_failed_hours(monkeypatch):
     window = argarch_copula_errors(200, 0.6, seed=5)[:, :6]
     window[:, [1, 4]] = 2.0
     with pytest.raises(FitError, match="constant input series for hours 2, 5"):
-        fit_argarch(window)
+        fit_filter(window, FilterSpec(AR_GARCH))
 
     window = argarch_copula_errors(200, 0.6, seed=5)[:, :6]
     bfgs = filters._bfgs
@@ -237,7 +236,7 @@ def test_argarch_batch_names_failed_hours(monkeypatch):
 
     monkeypatch.setattr(filters, "_bfgs", hour_3_unconverged)
     with pytest.raises(FitError, match="did not converge after 5 attempts for hours 3$"):
-        fit_argarch(window)
+        fit_filter(window, FilterSpec(AR_GARCH))
     # one search of all hours, then 4 restarts of hour 3 alone
     assert searched == [6, 1, 1, 1, 1]
 
@@ -259,7 +258,7 @@ def test_argarch_restarts_a_stalled_hour_with_bfgs(monkeypatch):
 
     monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
     monkeypatch.setattr(optimize, "minimize", no_minimize)
-    params, _ = fit_argarch(window)
+    params, _ = fit_filter(window, FilterSpec(AR_GARCH))
     assert [unconverged for _, unconverged in searches] == [[7], []]
     stalled_nll = searches[0][0][7]
     assert reference_nll(window[:, 7], params[7]) <= stalled_nll + 1e-9
@@ -277,16 +276,43 @@ def test_filter_outputs_of_a_window_match_its_columns():
             assert (out.one_step[0][h], out.one_step[1][h]) == single.one_step
 
 
+def same_output(a, b) -> bool:
+    """Bit-for-bit equality of two FilterOutputs, shapes included."""
+    return all(np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+               for x, y in ((a.sigma_hat, b.sigma_hat), (a.z, b.z), *zip(a.one_step, b.one_step)))
+
+
+@pytest.mark.parametrize("spec", [FilterSpec(RAW), FilterSpec(AR_GARCH),
+                                  FilterSpec(SARIMA, seasonal_period=7)])
+@settings(max_examples=3, deadline=None)
+@given(garch=st.lists(st.booleans(), min_size=1, max_size=3), seed=st.integers(0, 2**16),
+       n=st.integers(100, 160))
+def test_fit_filter_paths_are_filter_outputs(spec, garch, seed, n):
+    # one path function: a fit's paths are those filter_output gives for its
+    # params, and an (n,) window's are column 0 of its (n, 1) form
+    window = np.column_stack([argarch_series(n, 0.1, 0.3, 0.1, 0.1, 0.8, seed=seed + i) if g
+                              else 2.0 * rng_for(seed + i).standard_normal(n)
+                              for i, g in enumerate(garch)])
+    for eps in (window, window[:, 0]):
+        params, out = fit_filter(eps, spec, seed=seed)
+        assert out.sigma_hat.shape == out.z.shape == eps.shape
+        assert same_output(out, filter_output(eps, spec, params))
+    column_params, column = fit_filter(window[:, :1], spec, seed=seed)
+    assert column_params == [params]
+    assert same_output(out, FilterOutput(column.sigma_hat[:, 0], column.z[:, 0],
+                                         tuple(float(v[0]) for v in column.one_step)))
+
+
 def test_argarch_rejects_short_or_constant_input():
     with pytest.raises(FitError, match="observations"):
-        fit_argarch(np.zeros(50))
+        fit_filter(np.zeros(50), FilterSpec(AR_GARCH))
     with pytest.raises(FitError, match="constant"):
-        fit_argarch(np.full(200, 3.0))
+        fit_filter(np.full(200, 3.0), FilterSpec(AR_GARCH))
 
 
 def test_sarima_recovers_known_parameters():
     x = sarima_series(2000, 0.3, 0.5, 0.4, 1.0, s=7, seed=3)
-    params, out = fit_sarima(x, 7)
+    params, out = fit_filter(x, FilterSpec(SARIMA, seasonal_period=7))
     assert abs(params.phi1 - 0.5) <= 0.05
     assert abs(params.seasonal_phi - 0.4) <= 0.05
     assert 0.9 <= params.sigma <= 1.1
@@ -299,7 +325,7 @@ def test_sarima_recovers_known_parameters():
 
 def test_sarima_rejects_short_window():
     with pytest.raises(FitError, match="observations"):
-        fit_sarima(np.arange(10.0), 7)
+        fit_filter(np.arange(10.0), FilterSpec(SARIMA, seasonal_period=7))
 
 
 def test_fit_filter_dispatch():

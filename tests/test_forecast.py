@@ -313,6 +313,10 @@ DAY1 = ["2020-01-01,1,1.0,2.0", "2020-01-01,2,3.0,4.0"]
       "2020-01-02,1,x,2.0"], r":4: bad values \['x', '2\.0'\]"),
     (["date,member,h1,h2", "2020-01-01,1,1.0,2.0", "2020-01-01,3,3.0,4.0",
       "2020-01-02,1,inf,2.0"], r":4: non-finite value 'inf'"),
+    # a date is stripped as float strips a value, so \x1c-\x1f stay in it
+    (["date,member,h1,h2", "2020-01-01\x1c,1,1.0,2.0"], r":2: bad date '2020-01-01\\x1c'"),
+    (["date,member,h1,h2"] + DAY1 + ["\x1e2020-01-02,1,1.0,2.0"],
+     r":4: bad date '\\x1e2020-01-02'"),
 ])
 def test_read_forecasts_csv_rejects_malformed_rows(tmp_path, lines, match):
     path = tmp_path / "fc.csv"

@@ -467,6 +467,10 @@ def test_plain_files_are_not_walked(tmp_path, monkeypatch):
     (read_matrix_csv, "h1\n1.5#x\n", r":2: bad value '1\.5#x'"),
     # loadtxt strips \x1c from a number, float does not
     (read_matrix_csv, "h1\n1.5\x1c\n", r":2: bad value '1\.5\\x1c'"),
+    # str.strip strips \x1c from a date; a date is stripped as float strips a value
+    (load_panel, "date,hour,value\n2015-01-01\x1c,1,1.0\n",
+     r":2: bad date '2015-01-01\\x1c': Invalid isoformat string"),
+    (load_panel, "date,hour,value\n\x1f2015-01-01,1,1.0\n", r":2: bad date '\\x1f2015-01-01'"),
 ])
 def test_bulk_read_refuses_what_the_walker_refuses(tmp_path, read, text, match):
     path = tmp_path / "f.csv"
