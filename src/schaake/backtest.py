@@ -6,14 +6,18 @@ the block's first day, and for every evaluation day and setting recomputes
 the filter's paths on the day's trailing error window from the block's
 params, (2) builds the margins of all 24 hours from the most recent
 standardized residuals and PITs the dependence window through them, and (3)
-constructs the (m, 24) quantile ensemble matrix and pairs its rows by rank
-matrix or independent permutation.  Windows roll forward one day at a time.
+constructs the (m, 24) quantile ensemble matrix and pairs its rows by
+:func:`forecast.shuffle` with a rank matrix from the setting's dependence
+kind: the ranks of the PIT history, a Gaussian-copula sample, or, for
+independence, a random rank matrix.  Windows roll forward one day at a time.
 The collected forecasts are then (4) scored against realizations by
 :func:`scoring.score_forecasts`, the same function ``schaake evaluate`` uses.
 
-A setting whose filter cannot be fitted on a block's window, or whose
-copula cannot be learned from a day's PIT history, skips that day; the
-reason is kept in ``BacktestResult.diagnostics``.
+Each (setting, day) has one outcome: its forecast, or the reason it was
+skipped, because the setting's filter could not be fitted on the block's
+window or its copula could not be learned from the day's PIT history.  The
+reasons are kept in ``BacktestResult.skipped[setting][date]`` and each is
+warned once.
 
 A Schaake setting and its independence counterpart reorder the same sorted
 ensembles, and the CRPS sorts each hour's members before scoring them, so
@@ -93,10 +97,6 @@ class BacktestConfig:
             raise ConfigError("window lengths must be positive")
         if self.refit_every < 1:
             raise ConfigError("refit_every must be >= 1")
-        for name in self.settings:
-            if self.filter_spec(name).kind != filters.RAW:
-                if self.error_window < self.margin_window:
-                    raise ConfigError("error_window must be >= margin_window for filtered settings")
         if self.error_window < max(self.margin_window, self.dependence_window):
             raise ConfigError("error_window must cover the margin and dependence windows")
 
@@ -160,11 +160,7 @@ class BacktestResult:
     forecasts: dict          # setting -> list[EnsembleForecast]
     scores: dict             # setting -> ScorePanel
     ranks: dict              # setting -> (T_setting, 24) int array
-    skipped: dict            # setting -> list of skipped dates
-    diagnostics: list = field(default_factory=list)
-
-    def setting_dates(self, setting: str) -> tuple:
-        return self.scores[setting].dates
+    skipped: dict            # setting -> {skipped date: reason}
 
     def dm_rows(self) -> list:
         """Pairwise DM tests on daily ES and daily mean CRPS.
@@ -176,7 +172,7 @@ class BacktestResult:
         """
         rows = []
         names = [s for s in self.scores]
-        index = {s: {d: i for i, d in enumerate(self.setting_dates(s))} for s in names}
+        index = {s: {d: i for i, d in enumerate(self.scores[s].dates)} for s in names}
         for i, a in enumerate(names):
             for b in names[i + 1:]:
                 common = sorted(index[a].keys() & index[b].keys())
@@ -249,79 +245,70 @@ def _margin_groups(cfg: BacktestConfig):
     return groups
 
 
-def _fit_block_filters(errors, dates, t0: int, cfg: BacktestConfig, diagnostics):
+def _fit_block_filters(errors, dates, t0: int, cfg: BacktestConfig):
     """Fit every needed filter spec on the error window before block day t0.
 
     Each spec fits all 24 hours in one call.  Returns {spec: list of 24
-    params, or None when the fit failed}.
+    params, or the reason (a str) the fit failed}.
     """
     fitted = {}
     start = t0 - cfg.error_window
-    for spec, _ in _margin_groups(cfg):
-        if spec in fitted:
-            continue
+    for spec in dict.fromkeys(key[0] for key in _margin_groups(cfg)):
         if spec.kind == filters.RAW:
             fitted[spec] = [None] * N_HOURS
             continue
         try:
             fitted[spec], _out = filters.fit_filter(errors[start:t0], spec, seed=cfg.seed)
         except filters.FitError as exc:
-            diagnostics.append(f"{spec.kind} fit failed for the block starting {dates[t0]} "
-                               f"(window {dates[start]} to {dates[t0 - 1]}): {exc}")
-            fitted[spec] = None
+            fitted[spec] = (f"{spec.kind} fit failed for the block starting {dates[t0]} "
+                            f"(window {dates[start]} to {dates[t0 - 1]}): {exc}")
     return fitted
 
 
-def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitted,
-                      diagnostics):
-    """Forecasts for one target day.
+def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitted):
+    """Outcomes for one target day: {setting: EnsembleForecast, or the skip reason}.
 
-    Returns {setting: EnsembleForecast or None}; None marks a day skipped
-    because the setting's filter failed to fit or its copula could not be
-    learned from the PIT history (the reason goes to ``diagnostics``).
+    A setting is skipped when its filter failed to fit on the block's window
+    or its copula could not be learned from the PIT history.  The settings
+    whose fit failed come first, so a block's fit failure is reported before
+    the day's copula skips.
     """
-    m = cfg.m
-    results: dict = {name: None for name in cfg.settings}
     window = errors[t - cfg.error_window:t]
-    paths: dict = {}  # spec -> (z (n, 24), (mu (24,), sigma (24,)))
-    for (spec, margin_kind), names in _margin_groups(cfg).items():
-        params = fitted[spec]
-        if params is None:
-            continue
+    paths = {spec: filters.filter_output(window, spec, params)
+             for spec, params in fitted.items() if not isinstance(params, str)}
+    groups = _margin_groups(cfg)
+    results = {name: fitted[spec] for (spec, _), names in groups.items() for name in names
+               if spec not in paths}
+    for (spec, margin_kind), names in groups.items():
         if spec not in paths:
-            out = filters.filter_output(window, spec, params)
-            paths[spec] = (out.z, out.one_step)
-        z, one_step = paths[spec]
+            continue
+        z, one_step = paths[spec].z, paths[spec].one_step
         if margin_kind == "empirical":
             margin = MarginModel.empirical(z[-cfg.margin_window:])
         else:
             margin = MarginModel.gaussian()
         pits = pit(margin, z[-cfg.dependence_window:])
-        members = forecast.make_univariate_ensemble(fc_values[t], one_step, margin, m)
-
-        rank_matrix = None
-        sigma = None
+        members = forecast.make_univariate_ensemble(fc_values[t], one_step, margin, cfg.m)
         for name in names:
-            dep = SETTING_TABLE[name][2]
-            if dep == INDEPENDENCE:
-                results[name] = forecast.independence_forecast(
-                    members, derive_seed(cfg.seed, date, name, "independence"), date=date)
-                continue
             try:
-                if dep == SHUFFLE:
-                    if rank_matrix is None:
-                        rank_matrix = copula.empirical_rank_matrix(pits)
-                    ranks = rank_matrix
-                else:
-                    if sigma is None:
-                        sigma = copula.fit_gaussian_copula(pits)
-                    ranks = copula.sample_gaussian_rank_matrix(
-                        sigma, m, derive_seed(cfg.seed, date, name, "copula-sample"))
+                ranks = _rank_matrix(name, pits, date, cfg.seed)
             except (copula.CopulaError, np.linalg.LinAlgError) as exc:
-                diagnostics.append(f"{name} skipped on {date}: {exc}")
-                continue
-            results[name] = forecast.shuffle(members, ranks, date=date)
+                results[name] = f"{name} skipped on {date}: {exc}"
+            else:
+                results[name] = forecast.shuffle(members, ranks, date=date)
     return results
+
+
+def _rank_matrix(name: str, pits, date, seed: int) -> np.ndarray:
+    """Setting ``name``'s rank matrix on ``date``, from the (m, 24) PIT history ``pits``."""
+    dependence = SETTING_TABLE[name][2]
+    if dependence == SHUFFLE:
+        return copula.empirical_rank_matrix(pits)
+    if dependence == GAUSSIAN_COPULA:
+        return copula.sample_gaussian_rank_matrix(
+            copula.fit_gaussian_copula(pits), len(pits),
+            derive_seed(seed, date, name, "copula-sample"))
+    return copula.random_rank_matrix(*pits.shape, derive_seed(seed, date, name, "independence"))
 
 
 def _map(fn, tasks, jobs: int) -> list:
@@ -338,13 +325,9 @@ def _map(fn, tasks, jobs: int) -> list:
 
 def _run_block(args):
     errors, fc_values, dates, day_indices, cfg = args
-    diagnostics: list = []
-    fitted = _fit_block_filters(errors, dates, day_indices[0], cfg, diagnostics)
-    out = []
-    for t in day_indices:
-        out.append((dates[t], _forecast_one_day(errors, fc_values, t, dates[t], cfg, fitted,
-                                                diagnostics)))
-    return out, diagnostics
+    fitted = _fit_block_filters(errors, dates, day_indices[0], cfg)
+    return [(dates[t], _forecast_one_day(errors, fc_values, t, dates[t], cfg, fitted))
+            for t in day_indices]
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +366,19 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
               for i in range(0, len(eval_idx), cfg.refit_every)]
     tasks = [(errors, fc.values, dates, block, cfg) for block in blocks]
 
-    block_results = _map(_run_block, tasks, jobs)
-
-    day_results = []
-    diagnostics: list = []
-    for out, diags in block_results:
-        day_results.extend(out)
-        diagnostics.extend(diags)
-    for message in diagnostics:
-        warnings.warn(message, stacklevel=2)
-
     forecasts: dict = {name: [] for name in cfg.settings}
-    skipped: dict = {name: [] for name in cfg.settings}
-    for date, per_setting in day_results:
-        for name, fc_day in per_setting.items():
-            if fc_day is None:
-                skipped[name].append(date)
-            else:
-                forecasts[name].append(fc_day)
+    skipped: dict = {name: {} for name in cfg.settings}
+    reasons: dict = {}  # the distinct skip reasons as keys, in the order they arose
+    for block in _map(_run_block, tasks, jobs):
+        for date, outcomes in block:
+            for name, outcome in outcomes.items():
+                if isinstance(outcome, str):
+                    skipped[name][date] = outcome
+                    reasons[outcome] = None
+                else:
+                    forecasts[name].append(outcome)
+    for reason in reasons:
+        warnings.warn(reason, stacklevel=2)
 
     scores, ranks = {}, {}
     for name, fcs in forecasts.items():
@@ -408,8 +386,7 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
             scores[name], ranks[name] = scoring.score_forecasts(fcs, real)
     return BacktestResult(dates=tuple(dates[t] for t in eval_idx), m=cfg.m,
                           forecasts=forecasts, scores=scores, ranks=ranks,
-                          skipped={k: v for k, v in skipped.items() if v},
-                          diagnostics=diagnostics)
+                          skipped={k: v for k, v in skipped.items() if v})
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,7 +92,6 @@ def _cmd_backtest(args) -> int:
     if args.settings:
         updates["settings"] = tuple(s.strip() for s in args.settings.split(","))
     if updates:
-        from dataclasses import replace
         cfg = replace(cfg, **updates)
     real = load_panel(args.real, role="realization")
     fc = load_panel(args.forecast, role="forecast")
@@ -145,8 +145,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_shuffle(args) -> int:
     members = read_matrix_csv(args.ensembles)
     ranks = copula.read_rank_matrix_csv(args.rank_matrix)
-    import datetime
-    fc = forecast.shuffle(members, ranks, date=datetime.date.today())
+    fc = forecast.shuffle(members, ranks)
     write_number_rows(args.out, hour_names(fc.members.shape[1]), [(None, fc.members.tolist())])
     return 0
 

@@ -1,10 +1,11 @@
-"""Dependence learning: rank matrices from PIT history or a fitted Gaussian copula.
+"""Dependence learning: the rank matrices that pair the hourly ensembles.
 
 A rank matrix is an m x H integer matrix whose columns are permutations of
 1..m; it is the discrete copula representation that drives the reordering of
-univariate ensembles.  The nonparametric route ranks the PIT history
-directly; the parametric route fits a Gaussian copula by rank correlation
-and ranks a fresh sample from it.
+univariate ensembles.  Each setting draws one per day: the nonparametric
+route ranks the PIT history directly (the Schaake shuffle); the parametric
+route fits a Gaussian copula by rank correlation and ranks a fresh sample
+from it; the independence benchmark draws one uniform permutation per hour.
 """
 from __future__ import annotations
 
@@ -113,6 +114,12 @@ def sample_gaussian_rank_matrix(sigma: np.ndarray, m: int, seed: int) -> np.ndar
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     draws = ndtri(u) @ root.T
     return _ordinal_ranks(draws)
+
+
+def random_rank_matrix(m: int, n_hours: int, seed: int) -> np.ndarray:
+    """m x n_hours rank matrix of independent permutations drawn from ``Philox(seed)``."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return np.column_stack([rng.permutation(m) + 1 for _ in range(n_hours)])
 
 
 def read_rank_matrix_csv(path) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each hour's ensemble holds the m equally spaced quantiles of the predicted
 error distribution around the bias-corrected point forecast.  Pairing the 24
-hourly ensembles row-wise through a rank matrix transfers the learned
-dependence onto the forecast (the Schaake shuffle); the independence variant
-pairs them through random permutations instead.
+hourly ensembles row-wise through a rank matrix (:func:`shuffle`) transfers the
+learned dependence onto the forecast (the Schaake shuffle); the independence
+variant shuffles them by a random rank matrix instead.
 
 Forecast files are written by :func:`write_forecast_files`.  A Schaake setting
 and its independence counterpart hold the same numbers per day in another
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaError, is_rank_matrix
+from .copula import CopulaError, is_rank_matrix, random_rank_matrix
 from .margins import MarginModel, quantile
 from .panel import (N_HOURS, bulk_days, first_fault, hour_names, open_csv, read_checked,
                     repeats, write_text_rows)
@@ -98,13 +98,9 @@ def shuffle(members, rank_matrix: np.ndarray, date=None) -> EnsembleForecast:
 
 
 def independence_forecast(members, seed: int, date=None) -> EnsembleForecast:
-    """Pair the columns of a sorted m x H ensemble by seeded random permutations."""
+    """Shuffle a sorted m x H ensemble by the seeded :func:`copula.random_rank_matrix`."""
     members = _check_sorted(members)
-    m, n_hours = members.shape
-    rng = np.random.Generator(np.random.Philox(seed))
-    ranks = np.column_stack([rng.permutation(m) + 1 for _ in range(n_hours)])
-    paired = np.take_along_axis(members, ranks - 1, axis=0)
-    return EnsembleForecast(date, paired)
+    return shuffle(members, random_rank_matrix(*members.shape, seed), date=date)
 
 
 def write_forecasts_csv(forecasts, path) -> None:

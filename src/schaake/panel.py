@@ -250,7 +250,10 @@ def bulk_days(texts):
     value and read by ``date.fromisoformat``; those it refuses have ``day``
     -1, and ``check`` flags them for :func:`first_fault`.
     """
-    unique, index = np.unique(texts, return_inverse=True)
+    # files hold a date's rows together: sort only the first text of each run
+    starts = np.r_[0, np.flatnonzero(texts[1:] != texts[:-1]) + 1][:len(texts)]
+    unique, run = np.unique(texts[starts], return_inverse=True)
+    index = np.repeat(run, np.diff(np.r_[starts, len(texts)]))
     ordinals, errors = np.zeros(len(unique), dtype=int), {}
     for k, text in enumerate(unique.tolist()):
         try:

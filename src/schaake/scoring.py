@@ -152,7 +152,6 @@ class RankHistogram:
     """Bin counts of observed ranks; sums to the number of scored days."""
 
     counts: np.ndarray
-    edges: np.ndarray  # bin edges, length len(counts) + 1
 
     @property
     def total(self) -> int:
@@ -165,14 +164,14 @@ def rank_histogram(ranks, m: int) -> RankHistogram:
     if np.any((ranks < 1) | (ranks > m + 1)):
         raise ValueError("ranks must lie in 1..m+1")
     counts = np.bincount(ranks - 1, minlength=m + 1)
-    return RankHistogram(counts, np.arange(0.5, m + 2.0))
+    return RankHistogram(counts)
 
 
 def average_rank_histogram(avg_ranks, m: int, bins: int = AVG_RANK_BINS) -> RankHistogram:
     """Histogram of daily average ranks over equal-width bins on [1, m+1]."""
-    counts, edges = np.histogram(np.asarray(avg_ranks, dtype=float),
-                                 bins=bins, range=(1.0, m + 1.0))
-    return RankHistogram(counts, edges)
+    counts, _edges = np.histogram(np.asarray(avg_ranks, dtype=float),
+                                  bins=bins, range=(1.0, m + 1.0))
+    return RankHistogram(counts)
 
 
 def uniformity_check(hist: RankHistogram, alpha: float = 0.01) -> bool:

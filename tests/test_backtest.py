@@ -563,6 +563,53 @@ def test_cli_backtest_skips_setting_whose_copula_cannot_be_fitted(tmp_path, caps
     capsys.readouterr()
 
 
+def _skip_panel_backtest(settings):
+    """``run_backtest`` and its warnings on a panel whose days are skipped twice over.
+
+    A 60-day window is too short for AR-GARCH, so its fit fails for every
+    one-day block; hour 5's errors are 0.25 for 70 days, so on the first 11
+    days Schaake-P's raw PIT history is constant and its copula undefined.
+    """
+    errors = equicorrelated_normals(75, 0.5, 5)
+    errors[:70, 4] = 0.25
+    real, fc = panels_from_errors(errors)
+    cfg = small_config(error_window=60, margin_window=20, dependence_window=20,
+                       settings=settings, filter_overrides={
+                           "Schaake-P": FilterSpec("raw"), "I-P": FilterSpec("raw")})
+    with pytest.warns(UserWarning) as record:
+        result = run_backtest(real, fc, cfg)
+    return result, [str(w.message) for w in record]
+
+
+@pytest.mark.parametrize("settings", [tuple(backtest.SETTING_TABLE),
+                                      tuple(reversed(backtest.SETTING_TABLE))])
+def test_block_fit_failure_is_warned_before_the_days_copula_skips(settings):
+    _, messages = _skip_panel_backtest(settings)
+    expected = []
+    for k in range(15):
+        day = datetime.date(2015, 3, 2) + datetime.timedelta(days=k)
+        expected.append(f"argarch fit failed for the block starting {day} (window "
+                        f"{day - datetime.timedelta(days=60)} to "
+                        f"{day - datetime.timedelta(days=1)}): AR-GARCH needs >= 100 "
+                        "observations, got 60")
+        if k < 11:
+            expected.append(
+                f"Schaake-P skipped on {day}: degenerate PIT column (all values equal)")
+    assert len(expected) == 26 and messages == expected
+
+
+def test_skipped_maps_each_setting_and_day_to_its_warned_reason():
+    result, messages = _skip_panel_backtest(tuple(backtest.SETTING_TABLE))
+    assert {setting: len(days) for setting, days in result.skipped.items()} == {
+        "Schaake-NP": 15, "Schaake-P": 11, "I-NP": 15}
+    for setting, days in result.skipped.items():
+        for day, reason in days.items():
+            prefix = (f"Schaake-P skipped on {day}: " if setting == "Schaake-P"
+                      else f"argarch fit failed for the block starting {day} ")
+            assert [m for m in messages if m.startswith(prefix)] == [reason]
+    assert {r for days in result.skipped.values() for r in days.values()} == set(messages)
+
+
 def test_fit_failure_names_block_dates_and_hours():
     errors = equicorrelated_normals(130, 0.5, 7)
     errors[:, 2] = 0.5

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
+from schaake import copula
 from schaake.copula import empirical_rank_matrix, is_rank_matrix
 from schaake.forecast import independence_forecast, make_univariate_ensemble, shuffle
 from schaake.margins import MarginModel, pit, quantile
@@ -131,3 +132,18 @@ def test_reordering_keeps_each_hour_multiset(data, members, seed):
         assert np.array_equal(np.sort(shuffle(members, ranks).members, axis=0), members)
     paired = independence_forecast(members, seed=seed).members
     assert np.array_equal(np.sort(paired, axis=0), members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=matrices(max_rows=30, max_hours=24), seed=st.integers(0, 2**64 - 1))
+def test_independence_shuffles_by_one_philox_permutation_per_hour(members, seed):
+    members = np.sort(members, axis=0)
+    m, n_hours = members.shape
+    # reference: hour by hour, the next permutation of one Philox(seed) stream
+    rng = np.random.Generator(np.random.Philox(seed))
+    ranks = np.column_stack([rng.permutation(m) + 1 for _ in range(n_hours)])
+    reference = np.take_along_axis(members, ranks - 1, axis=0)
+    random_ranks = copula.random_rank_matrix(m, n_hours, seed)
+    assert is_rank_matrix(random_ranks) and np.array_equal(random_ranks, ranks)
+    paired = independence_forecast(members, seed=seed).members
+    assert paired.tobytes() == reference.tobytes()

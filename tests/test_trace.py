@@ -49,3 +49,8 @@ def test_tracer_counts_one_fit_per_block_and_one_pass_per_day(tmp_path):
     assert metrics["filters.output_calls"] == 6 * 3
     assert metrics["filters.fit_failed"] == 0
     assert math.isfinite(metrics["filters.fit_nll"])
+    # one reorder per setting and day; one rank matrix per Schaake-NP and
+    # Schaake-Raw day, one Gaussian copula per Schaake-P day
+    assert metrics["forecast.reorder_calls"] == 6 * 6
+    assert metrics["copula.rank_calls"] == 2 * 6
+    assert metrics["copula.gauss_fit_calls"] == 6
