@@ -99,6 +99,8 @@ class BacktestConfig:
             raise ConfigError("refit_every must be >= 1")
         if self.error_window < max(self.margin_window, self.dependence_window):
             raise ConfigError("error_window must cover the margin and dependence windows")
+        if None not in (self.eval_start, self.eval_end) and self.eval_start > self.eval_end:
+            raise ConfigError(f"eval_start {self.eval_start} is after eval_end {self.eval_end}")
 
     def filter_spec(self, setting: str) -> filters.FilterSpec:
         if setting in self.filter_overrides:
@@ -159,7 +161,6 @@ class BacktestResult:
     m: int
     forecasts: dict          # setting -> list[EnsembleForecast]
     scores: dict             # setting -> ScorePanel
-    ranks: dict              # setting -> (T_setting, 24) int array
     skipped: dict            # setting -> {skipped date: reason}
 
     def dm_rows(self) -> list:
@@ -190,10 +191,9 @@ class BacktestResult:
 
     def rank_histograms(self, setting: str):
         """Per-hour verification rank histograms plus the average-rank histogram."""
-        ranks = self.ranks[setting]
-        per_hour = [scoring.rank_histogram(ranks[:, h], self.m) for h in range(ranks.shape[1])]
-        avg = scoring.average_rank_histogram(ranks.mean(axis=1), self.m)
-        return per_hour, avg
+        ranks = self.scores[setting].ranks
+        return ([scoring.rank_histogram(column, self.m) for column in ranks.T],
+                scoring.average_rank_histogram(ranks.mean(axis=1), self.m))
 
     def write_outputs(self, out_dir, jobs: int = 1) -> None:
         """Write the forecast, score, rank-histogram, DM and skipped-day CSVs.
@@ -225,10 +225,10 @@ class BacktestResult:
                        skipped_rows)
 
     def _histogram_rows(self):
-        for setting in self.ranks:
+        for setting in self.scores:
             per_hour, avg = self.rank_histograms(setting)
-            for hour, hist in [*enumerate(per_hour, start=1), ("avg", avg)]:
-                for b, count in enumerate(hist.counts.tolist(), start=1):
+            for hour, counts in [*enumerate(per_hour, start=1), ("avg", avg)]:
+                for b, count in enumerate(counts.tolist(), start=1):
                     yield setting, hour, b, count
 
 
@@ -283,10 +283,8 @@ def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitt
         if spec not in paths:
             continue
         z, one_step = paths[spec].z, paths[spec].one_step
-        if margin_kind == "empirical":
-            margin = MarginModel.empirical(z[-cfg.margin_window:])
-        else:
-            margin = MarginModel.gaussian()
+        margin = (MarginModel.empirical(z[-cfg.margin_window:]) if margin_kind == "empirical"
+                  else MarginModel.gaussian())
         pits = pit(margin, z[-cfg.dependence_window:])
         members = forecast.make_univariate_ensemble(fc_values[t], one_step, margin, cfg.m)
         for name in names:
@@ -343,8 +341,7 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
     result is identical for any ``jobs`` value.  Every date from the first
     error-window day to the last evaluation day must be in the panels.
     """
-    error_panel = compute_errors(real, fc)
-    errors = error_panel.values
+    errors = compute_errors(real, fc).values
     dates = real.dates
 
     first = cfg.error_window
@@ -352,9 +349,10 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
                 if (cfg.eval_start is None or dates[t] >= cfg.eval_start)
                 and (cfg.eval_end is None or dates[t] <= cfg.eval_end)]
     if not eval_idx:
-        raise PanelError(
-            f"no evaluation days: need more than {cfg.error_window} days of history "
-            "before the requested period")
+        full = f"{dates[first]} to {dates[-1]}" if first < len(dates) else "none"
+        raise PanelError(f"no evaluation days from {cfg.eval_start or 'the first day'} to "
+                         f"{cfg.eval_end or 'the last day'}; the days with {first} days of "
+                         f"history before them: {full}")
     span = [d.toordinal() for d in dates[eval_idx[0] - first:eval_idx[-1] + 1]]
     missing = sorted(set(range(span[0], span[-1] + 1)).difference(span))
     if missing:  # windows count rows, so a gap would shift every later window
@@ -362,9 +360,8 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
                          f"{dates[eval_idx[0] - first]} to {dates[eval_idx[-1]]}, first "
                          f"{', '.join(str(datetime.date.fromordinal(o)) for o in missing[:3])}")
 
-    blocks = [eval_idx[i:i + cfg.refit_every]
-              for i in range(0, len(eval_idx), cfg.refit_every)]
-    tasks = [(errors, fc.values, dates, block, cfg) for block in blocks]
+    tasks = [(errors, fc.values, dates, eval_idx[i:i + cfg.refit_every], cfg)
+             for i in range(0, len(eval_idx), cfg.refit_every)]
 
     forecasts: dict = {name: [] for name in cfg.settings}
     skipped: dict = {name: {} for name in cfg.settings}
@@ -380,12 +377,9 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
     for reason in reasons:
         warnings.warn(reason, stacklevel=2)
 
-    scores, ranks = {}, {}
-    for name, fcs in forecasts.items():
-        if fcs:
-            scores[name], ranks[name] = scoring.score_forecasts(fcs, real)
+    scores = {name: scoring.score_forecasts(fcs, real) for name, fcs in forecasts.items() if fcs}
     return BacktestResult(dates=tuple(dates[t] for t in eval_idx), m=cfg.m,
-                          forecasts=forecasts, scores=scores, ranks=ranks,
+                          forecasts=forecasts, scores=scores,
                           skipped={k: v for k, v in skipped.items() if v})
 
 

@@ -91,8 +91,7 @@ def _cmd_backtest(args) -> int:
         updates["seed"] = args.seed
     if args.settings:
         updates["settings"] = tuple(s.strip() for s in args.settings.split(","))
-    if updates:
-        cfg = replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
     real = load_panel(args.real, role="realization")
     fc = load_panel(args.forecast, role="forecast")
     result = bt.run_backtest(real, fc, cfg, jobs=args.jobs)
@@ -122,18 +121,19 @@ def _check_hours(path, forecasts, n_hours: int, other: str) -> None:
 
 def _cmd_evaluate(args) -> int:
     real = load_panel(args.real, role="realization")
-    scores, rank_arrays, m = {}, {}, None
+    scores, m = {}, None
     for path in args.forecasts:
         fcs = forecast.read_forecasts_csv(path)
         _check_hours(path, fcs, real.values.shape[1], "the realizations have")
         if m is not None and fcs[0].m != m:
             raise PanelError(f"{path}: {fcs[0].m} members per day, earlier files have {m}")
         m = fcs[0].m
-        label = _setting_label(path)
-        scores[label], rank_arrays[label] = scoring.score_forecasts(fcs, real)
+        try:
+            scores[_setting_label(path)] = scoring.score_forecasts(fcs, real)
+        except PanelError as exc:
+            raise PanelError(f"{path}: {exc}") from None
     dates = tuple(sorted(set().union(*(panel.dates for panel in scores.values()))))
-    result = bt.BacktestResult(dates=dates, m=m, forecasts={}, scores=scores,
-                               ranks=rank_arrays, skipped={})
+    result = bt.BacktestResult(dates=dates, m=m, forecasts={}, scores=scores, skipped={})
     # reuse the backtest writers, minus the (unmodified) forecast CSVs; DM tests
     # pair each two files on the dates both cover
     result.write_outputs(args.out_dir)

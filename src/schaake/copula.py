@@ -48,8 +48,7 @@ def _ordinal_ranks(x: np.ndarray) -> np.ndarray:
 
 def empirical_rank_matrix(pits: np.ndarray) -> np.ndarray:
     """Column-wise ranks of the PIT history (1 = smallest, stable ties)."""
-    pits = check_pit_history(pits)
-    return _ordinal_ranks(pits)
+    return _ordinal_ranks(check_pit_history(pits))
 
 
 def fit_gaussian_copula(pits: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def sample_gaussian_rank_matrix(sigma: np.ndarray, m: int, seed: int) -> np.ndar
 def random_rank_matrix(m: int, n_hours: int, seed: int) -> np.ndarray:
     """m x n_hours rank matrix of independent permutations drawn from ``Philox(seed)``."""
     rng = np.random.Generator(np.random.Philox(seed))
-    return np.column_stack([rng.permutation(m) + 1 for _ in range(n_hours)])
+    return rng.permuted(np.tile(np.arange(1, m + 1)[:, None], (1, n_hours)), axis=0)
 
 
 def read_rank_matrix_csv(path) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import EnsembleForecast
-from .panel import N_HOURS, PanelError, parse_cell, read_rows
+from .panel import N_HOURS, PanelError, first_fault, read_checked, repeats
 
 # Synthetic, illustrative commercial-style profile (kW per normalized
 # consumer): low overnight, plateau across working hours.  Not measured
@@ -60,22 +60,22 @@ def scenario_daily_prices(fc: EnsembleForecast, profile: LoadProfile) -> np.ndar
 
 
 def load_profile_csv(path) -> LoadProfile:
-    """Parse a profile CSV with header ``hour,weight`` and 24 rows.
+    """Parse a profile CSV with header ``hour,weight`` and 24 rows, in any order.
 
     Malformed rows raise :class:`PanelError` naming ``path:line``.
     """
-    weights = {}
-    for lineno, row in read_rows(path, ("hour", "weight")):
-        hour = parse_cell(int, row[0], "hour", path, lineno)
-        weight = parse_cell(float, row[1], "weight", path, lineno)
-        if not (np.isfinite(weight) and weight >= 0.0):
-            raise PanelError(f"{path}:{lineno}: weight must be finite and >= 0, got {row[1]!r}")
-        if not 1 <= hour <= N_HOURS:
-            raise PanelError(f"{path}:{lineno}: hour {hour} outside 1..{N_HOURS}")
-        if hour in weights:
-            raise PanelError(f"{path}:{lineno}: duplicate hour {hour}")
-        weights[hour] = weight
+    weights = read_checked(path, ("hour", "weight"), False, _profile_weights)
     if len(weights) != N_HOURS:
         raise PanelError(f"{path}: expected {N_HOURS} hours, got {len(weights)}")
-    return LoadProfile(np.array([weights[h] for h in range(1, N_HOURS + 1)]))
+    return LoadProfile(weights)
+
+
+def _profile_weights(rows, complete: bool):
+    """A profile's weights in hour order, checked for :func:`panel.read_checked`."""
+    hour, weight = rows["hour"], rows["weight"]
+    fault = first_fault(
+        (weight < 0, lambda i: f"negative weight {weight[i]}"),
+        ((hour < 1) | (hour > N_HOURS), lambda i: f"hour {hour[i]} outside 1..{N_HOURS}"),
+        (repeats(hour), lambda i: f"duplicate hour {hour[i]}"))
+    return fault, weight[np.argsort(hour)]
 

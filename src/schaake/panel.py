@@ -5,15 +5,14 @@ calendar dates.  Dates are opaque labels; no timezone logic lives here.
 
 Every CSV file of the package is written by :func:`write_rows`, or, when no
 cell can need quoting, by :func:`write_number_rows` from numbers or by
-:func:`write_text_rows` from texts made elsewhere (forecast members).  A
-numeric file (panel, forecasts, matrix) has one check path and two parse
-front ends, joined by :func:`read_checked`: :func:`read_bulk` parses a plain
-file in one ``np.loadtxt`` call, and :func:`walk_bulk` parses any file row by
-row into the same array.  The reader's checks run once, on the arrays; when
-they fail, or the file is not plain, the walk parses it and the same checks
-name the first bad ``path:line``.  Other files are only walked, by
-:func:`read_rows`.  All are internal to the package, and only this module
-knows the CSV dialect.
+:func:`write_text_rows` from texts made elsewhere (forecast members).  Every
+CSV input (panel, forecasts, matrix, load profile) has one check path and two
+parse front ends, joined by :func:`read_checked`: :func:`read_bulk` parses a
+plain file in one ``np.loadtxt`` call, and :func:`walk_bulk` parses any file
+row by row into the same array.  The reader's checks run once, on the arrays;
+when they fail, or the file is not plain, the walk parses it and the same
+checks name the first bad ``path:line``.  All are internal to the package,
+and only this module knows the CSV dialect.
 """
 from __future__ import annotations
 
@@ -78,7 +77,7 @@ def hour_names(n_hours: int) -> list:
 
 
 def _check_header(path, cells, names, hourly: bool) -> list:
-    """The header ``cells``, stripped and lower-cased; see :func:`read_rows`."""
+    """The header ``cells``, stripped and lower-cased; see :func:`walk_bulk`."""
     header = [c.strip().lower() for c in cells]
     n_hours = len(header) - len(names) if hourly else 0
     if header != [*names, *hour_names(n_hours)] or (hourly and n_hours < 1):
@@ -87,35 +86,13 @@ def _check_header(path, cells, names, hourly: bool) -> list:
     return header
 
 
-def read_rows(path, names, hourly: bool = False):
-    """Yield ``(line, cells)`` for every non-blank data row of a CSV file.
-
-    The header, stripped and lower-cased, must read ``names``, followed with
-    ``hourly`` by ``h1..hH`` (H >= 1, taken from the header's width).  Every
-    row must have as many cells as the header.  A violation raises
-    :class:`PanelError` naming ``path:line``, the file line on which the row
-    starts.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = _check_header(path, next(reader, []), names, hourly)
-        start = reader.line_num + 1
-        for cells in reader:  # a quoted cell can span lines; a row is named by its first
-            line, start = start, reader.line_num + 1
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if len(cells) != len(header):
-                raise PanelError(f"{path}:{line}: expected {len(header)} columns, "
-                                 f"got {len(cells)}")
-            yield line, cells
-
-
 # The bytes a bulk read takes in data rows.  Of texts made of these, ``loadtxt``
 # parses exactly those that ``float`` and ``int`` parse, to the same numbers, and
 # splits lines and cells as the ``csv`` module does; beyond them it does not
 # (it reads "1.0\x1c" as 1.0, which ``float`` rejects).
 _PLAIN = b"0123456789+-.eE,\r\n"
-_BULK_TYPES = {"date": "U11", "member": np.int64, "hour": np.int64, "value": np.float64}
+_BULK_TYPES = {"date": "U11", "member": np.int64, "hour": np.int64, "value": np.float64,
+               "weight": np.float64}
 _CHUNK = 1 << 16
 # the whitespace that ``float`` strips from a number: str.isspace's, less \x1c-\x1f
 _SPACE = re.compile(r"^[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")
@@ -124,11 +101,12 @@ _SPACE = re.compile(r"^[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")
 def read_bulk(path, names, hourly: bool = False):
     """Data rows of a CSV file as one structured array, or None to walk the file.
 
-    The header is checked as :func:`read_rows` checks it.  One ``np.loadtxt``
+    The header is checked as :func:`walk_bulk` checks it.  One ``np.loadtxt``
     call then parses the rows into a field per name of ``names`` (``date`` as
-    text, ``member`` and ``hour`` as int64, ``value`` as a float) and, with
-    ``hourly``, a field ``values`` of the row's H floats.  A date text is read
-    as at most 11 characters, so a longer one shows as 11, which no ISO date has.
+    text, ``member`` and ``hour`` as int64, ``value`` and ``weight`` as floats)
+    and, with ``hourly``, a field ``values`` of the row's H floats.  A date
+    text is read as at most 11 characters, so a longer one shows as 11, which
+    no ISO date has.
 
     None means the caller must walk the file with :func:`walk_bulk`: the
     header is bad, the file has no data row, a data row holds a byte other
@@ -159,33 +137,44 @@ def read_bulk(path, names, hourly: bool = False):
                           encoding="utf-8", ndmin=1)
     except ValueError:
         return None
-    return rows if np.isfinite(rows["values" if hourly else "value"]).all() else None
+    return rows if np.isfinite(rows["values" if hourly else names[-1]]).all() else None
 
 
 def walk_bulk(path, names, hourly: bool = False):
     """``(rows, lines, fault)``: :func:`read_bulk`'s array of any CSV file, row by row.
 
-    ``rows`` holds the rows of :func:`read_rows` before the first it refuses or
-    with a cell that ``float`` or ``int`` (to int64) does not parse or that is
-    not finite, ``lines`` their lines, and ``fault`` the :class:`PanelError`
-    naming that line and cell, or None.  Dates stay text, in full.
+    The header, stripped and lower-cased, must read ``names``, followed with
+    ``hourly`` by ``h1..hH`` (H >= 1).  ``rows`` holds the non-blank rows
+    before the first with another cell count than the header, or with a cell
+    that :func:`parse_cell` refuses: ``int`` (to int64) and ``float`` parse
+    them, the floats being the ``h1..hH`` cells, else the last named cell.
+    ``lines`` holds the file lines they start on, and ``fault`` the
+    :class:`PanelError` naming that line and cell by its column, or None.
+    Dates stay text, in full.
     """
     parsed, lines, fault = [], [], None
-    lead = [name for name in names if name != "value"]  # a value is the last named cell
+    lead = names if hourly else names[:-1]
+    what = "value" if hourly else names[-1]
     try:
-        for line, cells in read_rows(path, names, hourly):
-            row = [cell if name == "date" else parse_cell(np.int64, cell, name, path, line)
-                   for name, cell in zip(lead, cells)]
-            texts = cells[len(lead):]
-            if lead and hourly:  # a forecast member's values are refused together
-                parse_cell(lambda ts: list(map(float, ts)), texts, "values", path, line)
-            values = []
-            for text in texts:  # left to right; a value that is not finite does not parse
-                values.append(parse_cell(float, text, "value", path, line))
-                if not math.isfinite(values[-1]):
-                    raise PanelError(f"{path}:{line}: non-finite value {text!r}")
-            parsed.append((*row, values) if hourly else (*row, *values))
-            lines.append(line)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = _check_header(path, next(reader, []), names, hourly)
+            start = reader.line_num + 1
+            for cells in reader:  # a quoted cell can span lines; a row is named by its first
+                line, start = start, reader.line_num + 1
+                if not cells or (len(cells) == 1 and not cells[0].strip()):
+                    continue
+                if len(cells) != len(header):
+                    raise PanelError(f"{path}:{line}: expected {len(header)} columns, "
+                                     f"got {len(cells)}")
+                row = [cell if name == "date" else parse_cell(np.int64, cell, name, path, line)
+                       for name, cell in zip(lead, cells)]
+                texts = cells[len(lead):]
+                if lead and hourly:  # a forecast member's values are refused together
+                    parse_cell(lambda ts: list(map(float, ts)), texts, "values", path, line)
+                values = [parse_cell(float, text, what, path, line) for text in texts]
+                parsed.append((*row, values) if hourly else (*row, *values))
+                lines.append(line)
     except PanelError as exc:
         fault = exc
     dtype = [(name, object if name == "date" else _BULK_TYPES[name]) for name in names]
@@ -310,11 +299,14 @@ def write_text_rows(fh, rows) -> None:
 
 
 def parse_cell(parse, text, what: str, path, lineno: int):
-    """``parse(text)``; a ValueError becomes a PanelError naming ``path:lineno``."""
+    """``parse(text)``; a PanelError naming ``path:lineno`` if it fails or is not finite."""
     try:
-        return parse(text)
+        value = parse(text)
     except (ValueError, OverflowError):  # np.int64 of an int it cannot hold
         raise PanelError(f"{path}:{lineno}: bad {what} {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PanelError(f"{path}:{lineno}: non-finite {what} {text!r}")
+    return value
 
 
 def read_matrix_csv(path) -> np.ndarray:

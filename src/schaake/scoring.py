@@ -25,22 +25,27 @@ class DegenerateScoreDifference(ValueError):
 
 @dataclass(frozen=True)
 class ScorePanel:
-    """Per-day Energy Scores and per-day-per-hour CRPS values."""
+    """Per-day Energy Scores, per-day-per-hour CRPS values and verification ranks."""
 
     dates: tuple
     es: np.ndarray        # (T,)
     crps: np.ndarray      # (T, 24)
+    ranks: np.ndarray     # (T, 24) int
 
     def __post_init__(self):
         es = np.asarray(self.es, dtype=float)
         crps = np.asarray(self.crps, dtype=float)
+        ranks = np.asarray(self.ranks, dtype=int)
         if es.shape != (len(self.dates),) or crps.shape[0] != len(self.dates):
             raise ValueError("score arrays must have one row per date")
+        if ranks.shape != crps.shape:
+            raise ValueError(f"ranks of shape {ranks.shape} do not match the CRPS's {crps.shape}")
         if np.any(es < 0) or np.any(crps < 0):
             raise ValueError("scores must be nonnegative")
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "es", es)
         object.__setattr__(self, "crps", crps)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def mean_es(self) -> float:
@@ -129,8 +134,8 @@ def verification_rank(members, y):
     return rank if np.ndim(rank) else int(rank)
 
 
-def score_forecasts(forecasts, real):
-    """ScorePanel and (T, H) verification ranks of forecasts against ``real``.
+def score_forecasts(forecasts, real) -> ScorePanel:
+    """The :class:`ScorePanel` of forecasts against ``real``.
 
     The backtest and ``schaake evaluate`` both score through this function.
     """
@@ -143,44 +148,29 @@ def score_forecasts(forecasts, real):
         es.append(energy_score(fc.members, y))
         crps.append(crps_ensemble(fc.members, y))
         ranks.append(verification_rank(fc.members, y))
-    panel = ScorePanel(tuple(fc.date for fc in forecasts), np.array(es), np.array(crps))
-    return panel, np.array(ranks, dtype=int)
+    return ScorePanel(tuple(fc.date for fc in forecasts), es, crps, ranks)
 
 
-@dataclass(frozen=True)
-class RankHistogram:
-    """Bin counts of observed ranks; sums to the number of scored days."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def rank_histogram(ranks, m: int) -> RankHistogram:
-    """Histogram of verification ranks over the m+1 possible positions."""
+def rank_histogram(ranks, m: int) -> np.ndarray:
+    """Counts of verification ranks over the m+1 possible positions."""
     ranks = np.asarray(ranks)
     if np.any((ranks < 1) | (ranks > m + 1)):
         raise ValueError("ranks must lie in 1..m+1")
-    counts = np.bincount(ranks - 1, minlength=m + 1)
-    return RankHistogram(counts)
+    return np.bincount(ranks - 1, minlength=m + 1)
 
 
-def average_rank_histogram(avg_ranks, m: int, bins: int = AVG_RANK_BINS) -> RankHistogram:
-    """Histogram of daily average ranks over equal-width bins on [1, m+1]."""
-    counts, _edges = np.histogram(np.asarray(avg_ranks, dtype=float),
-                                  bins=bins, range=(1.0, m + 1.0))
-    return RankHistogram(counts)
+def average_rank_histogram(avg_ranks, m: int, bins: int = AVG_RANK_BINS) -> np.ndarray:
+    """Counts of daily average ranks over equal-width bins on [1, m+1]."""
+    return np.histogram(np.asarray(avg_ranks, dtype=float), bins=bins, range=(1.0, m + 1.0))[0]
 
 
-def uniformity_check(hist: RankHistogram, alpha: float = 0.01) -> bool:
-    """Chi-square consistency with uniform bin occupancy.
+def uniformity_check(counts, alpha: float = 0.01) -> bool:
+    """Chi-square consistency of histogram ``counts`` with uniform bin occupancy.
 
     Passes when the statistic stays below the (1 - alpha) quantile of the
     chi-square distribution with k-1 degrees of freedom.
     """
-    counts = hist.counts
+    counts = np.asarray(counts)
     expected = counts.sum() / counts.size
     if expected <= 0:
         raise ValueError("empty histogram")

@@ -95,7 +95,7 @@ def test_backtest_shapes_single_day():
     for name in cfg.settings:
         members = result.forecasts[name][0].members
         assert members.shape == (40, 24)
-        assert result.ranks[name].shape == (1, 24)
+        assert result.scores[name].ranks.shape == (1, 24)
         assert result.scores[name].crps.shape == (1, 24)
     # sorted marginals agree across the two settings
     a, b = (result.forecasts[s][0].members for s in cfg.settings)
@@ -122,7 +122,7 @@ def test_backtest_target_day_realization_unused():
     tampered[-1] += 500.0
     again = run_backtest(type(real)(real.dates, tampered), fc, cfg)
     assert np.array_equal(base.members, again.forecasts["I-Raw"][0].members)
-    assert np.all(again.ranks["I-Raw"] == 41)  # realization above every member
+    assert np.all(again.scores["I-Raw"].ranks == 41)  # realization above every member
 
 
 def test_paired_settings_share_crps():
@@ -291,6 +291,35 @@ def test_cli_backtest_refuses_a_missing_date(panel_csvs, tmp_path, capsys, drop_
     assert re.search(match, err).group(1) == dropped.isoformat()
 
 
+@pytest.mark.parametrize("period, match", [
+    # a reversed period is refused with the config, before a panel is read
+    ({"eval_start": "2021-01-01", "eval_end": "2020-01-01"},
+     r"cfg\.json: eval_start 2021-01-01 is after eval_end 2020-01-01$"),
+    # a period outside the panel names the days that could be evaluated
+    ({"eval_start": "2021-01-01"},
+     r"no evaluation days from 2021-01-01 to the last day; the days with 120 days of "
+     r"history before them: 2015-05-01 to 2015-05-06$"),
+    ({"eval_end": "2015-04-30"},
+     r"no evaluation days from the first day to 2015-04-30; the days with 120 days of "
+     r"history before them: 2015-05-01 to 2015-05-06$"),
+    ({"error_window": 130, "eval_end": "2015-04-30"},
+     r"no evaluation days from the first day to 2015-04-30; the days with 130 days of "
+     r"history before them: none$"),
+])
+def test_cli_backtest_names_the_period_without_evaluation_days(panel_csvs, tmp_path, capsys,
+                                                                period, match):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                               "dependence_window": 40, **period}))
+    rc = cli.main(["backtest", "--real", str(panel_csvs / "real.csv"),
+                   "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("schaake: data error: ")
+    assert re.search(match, err.strip())
+
+
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))[1:]
@@ -450,7 +479,7 @@ def test_write_outputs_writes_one_task_per_pair(monkeypatch, tmp_path, settings,
     calls = []
     monkeypatch.setattr(backtest, "_map", lambda fn, tasks, jobs: calls.append((fn, tasks)))
     backtest.BacktestResult(dates=(), m=3, forecasts={s: [] for s in settings}, scores={},
-                            ranks={}, skipped={}).write_outputs(tmp_path, jobs=2)
+                            skipped={}).write_outputs(tmp_path, jobs=2)
     [(fn, tasks)] = calls
     assert fn is backtest.forecast.write_forecast_files
     assert [{Path(path).name for _, path in task} for task in tasks] == files
@@ -497,6 +526,21 @@ def test_cli_names_forecast_file_with_wrong_hour_count(panel_csvs, tmp_path, cap
     assert rc == 2
     assert capsys.readouterr().err == \
         f"schaake: data error: {two_hours}: 2 hours per day, the profile has 24\n"
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--out-dir", "eval"], ["slp"]])
+def test_cli_names_forecast_file_dated_past_the_realizations(panel_csvs, tmp_path, capsys,
+                                                              command):
+    real = load_panel(panel_csvs / "real.csv")
+    late = tmp_path / "forecasts_late.csv"
+    after = real.dates[-1] + datetime.timedelta(days=2)
+    write_forecasts_csv([EnsembleForecast(d, real.values[-1] + np.arange(3.0)[:, None])
+                         for d in (real.dates[-1], after)], late)
+    args = [str(tmp_path / arg) if arg == "eval" else arg for arg in command]
+    rc = cli.main(args + ["--real", str(panel_csvs / "real.csv"), "--forecasts", str(late)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"schaake: data error: {late}: no realization for forecast date {after}\n"
 
 
 def _cli_backtest_on_errors(tmp_path, errors, config):

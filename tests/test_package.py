@@ -16,3 +16,14 @@ def test_readme_library_names_are_exported():
     assert sorted(names - set(schaake.__all__)) == []   # documented, not exported
     assert sorted(set(schaake.__all__) - names) == []   # exported, not documented
     assert all(hasattr(schaake, name) for name in schaake.__all__)
+
+
+def test_only_panel_knows_the_csv_dialect():
+    # one row walker and one writer: a second could read or write another dialect
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(schaake.__file__).parent.glob("*.py")}
+    importers = sorted(name for name, text in sources.items()
+                       if re.search(r"^\s*(import csv|from csv import)\b", text, re.M))
+    assert importers == ["panel.py"]
+    for call in ("csv.reader(", "csv.writer("):
+        assert sum(text.count(call) for text in sources.values()) == 1

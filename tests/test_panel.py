@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from schaake import panel as panel_module
 from schaake.forecast import read_forecasts_csv
+from schaake.loadprofile import load_profile_csv
 from schaake.panel import (
     N_HOURS,
     HourlyPanel,
@@ -380,6 +381,20 @@ def matrix_files():
     return files()
 
 
+def profile_files():
+    # nonnegative weights, so that most files reach the bulk parse's checks
+    weights = st.one_of(st.floats(min_value=0.0, allow_infinity=False).map(repr),
+                        st.integers(0, 10**6).map(str), st.sampled_from(["1e5", "-0", ".5", "007"]))
+
+    @st.composite
+    def files(draw):
+        rows = [[str(h), draw(weights)] for h in range(1, N_HOURS + 1)]
+        if draw(st.booleans()):
+            rows = draw(st.permutations(rows))
+        return draw(mangled_csv(["hour", "weight"], rows, ["int", "value"]))
+    return files()
+
+
 def _bits(result):
     """What a reader returned, its floats as exact bits."""
     if isinstance(result, HourlyPanel):
@@ -427,6 +442,12 @@ def test_load_panel_matches_its_walker(text):
 @given(text=matrix_files())
 def test_read_matrix_csv_matches_its_walker(text):
     check_against_walker(read_matrix_csv, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=profile_files())
+def test_load_profile_csv_matches_its_walker(text):
+    check_against_walker(lambda path: load_profile_csv(path).weights, text)
 
 
 def _no_walk(*args):

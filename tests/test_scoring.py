@@ -4,15 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _simulate import rng_for
+from _simulate import iid_error_panels, rng_for
+from schaake.forecast import EnsembleForecast
 from schaake.scoring import (
     DegenerateScoreDifference,
+    ScorePanel,
     average_rank_histogram,
     crps_ensemble,
     dm_test,
     energy_score,
     interval_coverage,
     rank_histogram,
+    score_forecasts,
     uniformity_check,
     verification_rank,
 )
@@ -189,9 +192,9 @@ def test_verification_ranks_vectorized():
 
 def test_rank_histogram_counts():
     hist = rank_histogram(np.array([1, 1, 3, 91]), m=90)
-    assert hist.counts.size == 91
-    assert hist.counts[0] == 2 and hist.counts[2] == 1 and hist.counts[90] == 1
-    assert hist.total == 4
+    assert hist.size == 91
+    assert hist[0] == 2 and hist[2] == 1 and hist[90] == 1
+    assert hist.sum() == 4
     with pytest.raises(ValueError):
         rank_histogram(np.array([0]), m=90)
 
@@ -213,7 +216,7 @@ def test_average_rank_histogram_uniform_for_comonotone_hours():
     ranks = 1 + np.count_nonzero(members < y[:, None], axis=1)
     avg = np.tile(ranks[:, None], (1, 24)).mean(axis=1)
     hist = average_rank_histogram(avg, m=90)
-    assert hist.total == 2000
+    assert hist.sum() == 2000
     assert uniformity_check(hist)
 
 
@@ -225,7 +228,7 @@ def test_average_rank_histogram_concentrates_under_independence():
     ranks = 1 + np.count_nonzero(members < y[:, :, None], axis=2)
     hist = average_rank_histogram(ranks.mean(axis=1), m=90)
     assert not uniformity_check(hist)
-    assert hist.counts[4] + hist.counts[5] > 0.8 * hist.total
+    assert hist[4] + hist[5] > 0.8 * hist.sum()
 
 
 def test_interval_coverage_order_statistics():
@@ -254,3 +257,24 @@ def test_interval_coverage_exchangeable_simulation():
 def test_interval_coverage_rejects_bad_nominal():
     with pytest.raises(ValueError):
         interval_coverage(np.zeros((2, 30)), np.zeros(2), 1.5)
+
+
+def test_score_panel_refuses_ranks_of_another_shape():
+    dates = ("a", "b")
+    ScorePanel(dates, np.ones(2), np.ones((2, 3)), np.ones((2, 3), dtype=int))
+    for shape in [(2, 2), (3, 3), (2,), (2, 3, 1)]:
+        with pytest.raises(ValueError, match="ranks of shape"):
+            ScorePanel(dates, np.ones(2), np.ones((2, 3)), np.ones(shape, dtype=int))
+
+
+def test_score_forecasts_ranks_each_forecast():
+    real, _ = iid_error_panels(5, rho=0.5, seed=12)
+    rng = rng_for(12)
+    days = [4, 1, 2]
+    forecasts = [EnsembleForecast(real.dates[i], real.values[i] + rng.standard_normal((7, 24)))
+                 for i in days]
+    panel = score_forecasts(forecasts, real)
+    assert panel.dates == tuple(real.dates[i] for i in days)
+    assert panel.ranks.shape == (3, 24)
+    for row, fc, i in zip(panel.ranks, forecasts, days):
+        assert np.array_equal(row, verification_rank(fc.members, real.values[i]))
