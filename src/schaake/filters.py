@@ -3,13 +3,13 @@
 Three filters are available: a raw pass-through, an AR(1)-GARCH(1,1)
 estimated by Gaussian quasi-maximum likelihood, and a seasonal AR model
 (one regular and one seasonal AR coefficient, homoskedastic residuals)
-estimated by conditional least squares.  ``fit_filter`` fits one hour's
-(n,) error window or an (n, H) window of H hours, each column on its own,
-and ``filter_output`` recomputes the paths of a window for given params.
-Both yield the conditional standard deviation path over the learning
-window, the standardized residuals, and a one-step-ahead (mu, sigma)
-forecast for the target day; an (n, H) window gives (n, H) paths and (H,)
-forecasts.  One function computes these paths for all three filters.
+estimated by conditional least squares.  ``fit_filter`` fits an (n, H)
+error window of H hours, each column on its own, and ``filter_output``
+recomputes the paths of a window for given params; a one-hour caller passes
+an (n, 1) window.  Both yield the (n, H) conditional standard deviation
+paths over the learning window, the (n, H) standardized residuals, and a
+one-step-ahead (mu, sigma) forecast for the target day, two (H,) arrays.
+One function computes these paths for all three filters.
 
 The AR-GARCH likelihoods of all H hours are evaluated together: the
 variance recursion runs as one linear filter call per hour and its gradient
@@ -88,7 +88,6 @@ class SarimaParams:
     phi1: float
     seasonal_phi: float
     sigma: float
-    seasonal_period: int = 7
 
     def __post_init__(self):
         if not (abs(self.phi1) < 1 and abs(self.seasonal_phi) < 1):
@@ -99,10 +98,9 @@ class SarimaParams:
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Filtered paths over the learning window plus the one-step forecast.
+    """Filtered (n, H) paths over the learning window plus the one-step forecast.
 
-    For an (n,) window the paths are (n,) and ``one_step`` holds two floats;
-    for an (n, H) window the paths are (n, H) and ``one_step`` two (H,) arrays.
+    ``one_step`` is (mu, sigma), two (H,) arrays.
     """
 
     sigma_hat: np.ndarray
@@ -110,15 +108,17 @@ class FilterOutput:
     one_step: tuple  # (mu, sigma) for the target day
 
 
-def _rows(eps: np.ndarray) -> np.ndarray:
-    """An (n,) or (n, H) window as (H, n), one contiguous row per hour, in new memory."""
-    return np.array(eps.reshape(eps.shape[0], -1).T, order="C")
+def _rows(errors) -> np.ndarray:
+    """An (n, H) window as (H, n), one contiguous row per hour, in new memory."""
+    eps = np.asarray(errors, dtype=float)
+    if eps.ndim != 2 or eps.size < 1:
+        raise FitError(f"error window must be a non-empty (n, H) array, got shape {eps.shape}; "
+                       "pass one hour as (n, 1)")
+    return np.array(eps.T, order="C")
 
 
-def _hours(eps: np.ndarray, columns) -> str:
-    """' for hours ...' naming ``columns`` as 1-based hours; '' for an (n,) window."""
-    if eps.ndim == 1:
-        return ""
+def _hours(columns) -> str:
+    """' for hours ...' naming ``columns`` as 1-based hours."""
     return " for hours " + ", ".join(str(h + 1) for h in columns)
 
 
@@ -337,29 +337,27 @@ def _bfgs(fun, x0, args, h0):
     return x_out, f_out, converged
 
 
-def _fit_argarch(eps: np.ndarray, seed: int) -> list:
-    """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to an (n,) or (n, H) window.
+def _fit_argarch(rows: np.ndarray, seed: int) -> list:
+    """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to (H, n) ``rows``, one hour per row.
 
-    Each column is one hour's series.  The search runs in a transformed
-    unconstrained space, so the stationarity and positivity constraints hold
-    by construction, and uses the analytic gradient of the likelihood.  It
-    starts from moment estimates and runs BFGS on all hours at once.  The
-    hours whose search does not converge (see ``_bfgs``) are searched again,
-    together, up to 4 times, each from its lowest-NLL point theta plus
-    0.1 * max(|theta|, 1) * jitter; the jitters are one (4, 5) standard
-    normal draw from ``Philox(seed)``, the same for every hour.  An hour
-    keeps its lowest-NLL point.  Raises ``FitError``, naming the hours, when
-    all 5 of an hour's searches fail to converge.
+    The search runs in a transformed unconstrained space, so the stationarity
+    and positivity constraints hold by construction, and uses the analytic
+    gradient of the likelihood.  It starts from moment estimates and runs
+    BFGS on all hours at once.  The hours whose search does not converge (see
+    ``_bfgs``) are searched again, together, up to 4 times, each from its
+    lowest-NLL point theta plus 0.1 * max(|theta|, 1) * jitter; the jitters
+    are one (4, 5) standard normal draw from ``Philox(seed)``, the same for
+    every hour.  An hour keeps its lowest-NLL point.  Raises ``FitError``,
+    naming the hours, when all 5 of an hour's searches fail to converge.
 
-    Returns a list of one ``ArGarchParams`` per column.
+    Returns a list of one ``ArGarchParams`` per row.
     """
-    rows = _rows(eps)
     n = rows.shape[1]
     if n < _MIN_ARGARCH_WINDOW:
         raise FitError(f"AR-GARCH needs >= {_MIN_ARGARCH_WINDOW} observations, got {n}")
     var = np.var(rows, axis=1)
     if np.any(var <= 0.0):
-        raise FitError(f"constant input series{_hours(eps, np.flatnonzero(var <= 0.0))}: "
+        raise FitError(f"constant input series{_hours(np.flatnonzero(var <= 0.0))}: "
                        "AR-GARCH fit is undefined")
 
     theta0 = _argarch_start(rows, var)
@@ -379,7 +377,7 @@ def _fit_argarch(eps: np.ndarray, seed: int) -> list:
         theta[retry[better]], nll[retry[better]] = x[better], f[better]
     if not converged.all():
         raise FitError(f"AR-GARCH QMLE did not converge after {_RESTARTS + 1} attempts"
-                       f"{_hours(eps, np.flatnonzero(~converged))}")
+                       f"{_hours(np.flatnonzero(~converged))}")
 
     params = []
     for h, values in enumerate(zip(*(v.tolist() for v in _argarch_untransform(theta)))):
@@ -387,7 +385,7 @@ def _fit_argarch(eps: np.ndarray, seed: int) -> list:
             params.append(ArGarchParams(*values))
         except ValueError as exc:
             raise FitError(f"AR-GARCH estimate outside parameter space"
-                           f"{_hours(eps, [h])}: {exc}") from None
+                           f"{_hours([h])}: {exc}") from None
     return params
 
 
@@ -402,27 +400,25 @@ def _sarima_residuals(coef, eps, s):
             + phi1 * sphi * eps[:-s - 1])
 
 
-def _fit_sarima(eps: np.ndarray, seasonal_period: int) -> list:
+def _fit_sarima(rows: np.ndarray, s: int) -> list:
     """Fit the seasonal AR model by conditional least squares.
 
     The model has one AR coefficient at lag 1 and one seasonal AR coefficient
-    at lag ``seasonal_period``; with no MA terms, conditional least squares on
-    the multiplicative representation is exact.  The residual standard
-    deviation serves as the constant sigma path.  An (n, H) window is fitted
-    column by column.  Returns a list of one ``SarimaParams`` per column.
+    at lag ``s``; with no MA terms, conditional least squares on the
+    multiplicative representation is exact.  The residual standard deviation
+    serves as the constant sigma path.  The (H, n) ``rows`` are fitted one
+    hour per row.  Returns a list of one ``SarimaParams`` per row.
     """
-    rows = _rows(eps)
-    s = int(seasonal_period)
     if rows.shape[1] < 3 * s:
         raise FitError(f"seasonal AR needs >= {3 * s} observations, got {rows.shape[1]}")
     constant = np.flatnonzero(np.var(rows, axis=1) <= 0.0)
     if constant.size:
-        raise FitError(f"constant input series{_hours(eps, constant)}: "
+        raise FitError(f"constant input series{_hours(constant)}: "
                        "seasonal AR fit is undefined")
 
     params = []
     for h, row in enumerate(rows):
-        where = _hours(eps, [h])
+        where = _hours([h])
         res = optimize.least_squares(_sarima_residuals, x0=np.array([row.mean(), 0.0, 0.0]),
                                      args=(row, s), method="lm")
         if not res.success:
@@ -432,7 +428,7 @@ def _fit_sarima(eps: np.ndarray, seasonal_period: int) -> list:
         if not sigma > 0:
             raise FitError(f"degenerate residuals in seasonal AR fit{where}")
         try:
-            params.append(SarimaParams(float(c), float(phi1), float(sphi), sigma, s))
+            params.append(SarimaParams(float(c), float(phi1), float(sphi), sigma))
         except ValueError as exc:
             raise FitError(f"seasonal AR estimate outside parameter space{where}: "
                            f"{exc}") from None
@@ -443,73 +439,59 @@ def _fit_sarima(eps: np.ndarray, seasonal_period: int) -> list:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _paths(eps: np.ndarray, spec: FilterSpec, params) -> FilterOutput:
-    """Filtered paths and one-step forecasts of ``eps`` for an existing estimate.
+def _paths(rows: np.ndarray, spec: FilterSpec, params) -> FilterOutput:
+    """Filtered paths and one-step forecasts of (H, n) ``rows`` for an existing estimate.
 
-    ``eps`` and ``params`` have the shapes ``filter_output`` takes.  Every
-    filter computes its (H, n) paths and (H,) forecasts on the rows of
-    ``eps``, one hour per row; the result is then shaped like ``eps``.
+    ``params`` holds one estimate per row.  Every filter computes its (H, n)
+    paths and (H,) forecasts on the rows, one hour per row; the paths are
+    then returned as (n, H).
     """
-    rows = _rows(eps)
-    plist = [params] if eps.ndim == 1 else params
     if spec.kind == RAW:
         sigma, z = np.ones(rows.shape), rows
         mu_next, sigma_next = np.zeros(len(rows)), np.ones(len(rows))
     elif spec.kind == AR_GARCH:
         c, phi, omega, alpha, beta = (np.array(v) for v in zip(
-            *((p.c, p.phi, p.omega, p.alpha, p.beta) for p in plist)))
+            *((p.c, p.phi, p.omega, p.alpha, p.beta) for p in params)))
         e, h = _argarch_paths(rows, c, phi, omega, alpha, beta)
         sd = np.sqrt(h)
         sigma, z = sd[:, :-1], e / sd[:, :-1]
         mu_next, sigma_next = c + phi * rows[:, -1], sd[:, -1]
     else:
-        s = plist[0].seasonal_period
+        s = spec.seasonal_period
         c, phi1, sphi, sig = (np.array(v)[:, None] for v in zip(
-            *((p.c, p.phi1, p.seasonal_phi, p.sigma) for p in plist)))
+            *((p.c, p.phi1, p.seasonal_phi, p.sigma) for p in params)))
+        # the conditional means of days s+1 .. n, the last one the target day's
+        mean = (c + phi1 * rows[:, s:] + sphi * rows[:, 1:rows.shape[1] + 1 - s]
+                - phi1 * sphi * rows[:, :-s])
         mu = np.full(rows.shape, c / ((1.0 - phi1) * (1.0 - sphi)))
-        if rows.shape[1] > s + 1:
-            mu[:, s + 1:] = (c + phi1 * rows[:, s:-1] + sphi * rows[:, 1:-s]
-                             - phi1 * sphi * rows[:, :-s - 1])
+        mu[:, s + 1:] = mean[:, :-1]
         sigma = np.full(rows.shape, sig)
         z = (rows - mu) / sigma
-        mu_next = (c + phi1 * rows[:, -1:] + sphi * rows[:, -s:1 - s]
-                   - phi1 * sphi * rows[:, -s - 1:-s])[:, 0]
-        sigma_next = sig[:, 0]
-    if eps.ndim == 1:
-        return FilterOutput(sigma[0], z[0], (float(mu_next[0]), float(sigma_next[0])))
+        mu_next, sigma_next = mean[:, -1], sig[:, 0]
     return FilterOutput(np.ascontiguousarray(sigma.T), np.ascontiguousarray(z.T),
                         (mu_next, sigma_next))
 
 
 def fit_filter(errors, spec: FilterSpec, seed: int = 0):
-    """Fit the filter named by ``spec`` to an (n,) or (n, H) error window.
+    """Fit the filter named by ``spec`` to an (n, H) error window.
 
-    Each column of an (n, H) window is one hour, fitted on its own; AR-GARCH
-    fits search all hours at once (see ``_fit_argarch``).  Returns
-    ``(params, FilterOutput)``: for an (n,) window one params object and (n,)
-    paths, for an (n, H) window a list of H params and (n, H) paths.  Params
-    are None for the raw filter, which is the identity with one-step
-    forecast (0, 1).
+    Each column is one hour, fitted on its own; AR-GARCH fits search all
+    hours at once (see ``_fit_argarch``).  A one-hour caller passes an (n, 1)
+    window.  Returns ``(params, FilterOutput)``: a list of H params and the
+    window's (n, H) paths.  Params are None for the raw filter, which is the
+    identity with one-step forecast (0, 1).
     """
-    eps = np.asarray(errors, dtype=float)
-    if eps.ndim not in (1, 2) or eps.size < 1:
-        raise FitError("error window must be a non-empty (n,) or (n, H) array")
+    rows = _rows(errors)
     if spec.kind == AR_GARCH:
-        params = _fit_argarch(eps, seed)
+        params = _fit_argarch(rows, seed)
     elif spec.kind == SARIMA:
-        params = _fit_sarima(eps, spec.seasonal_period)
+        params = _fit_sarima(rows, spec.seasonal_period)
     else:  # the raw filter has no params: None per column
-        params = [None] * (eps.size // len(eps))
-    if eps.ndim == 1:
-        params = params[0]
+        params = [None] * len(rows)
     # _paths, not filter_output: bench/spans.py counts filter_output's calls as passes
-    return params, _paths(eps, spec, params)
+    return params, _paths(rows, spec, params)
 
 
 def filter_output(eps, spec: FilterSpec, params) -> FilterOutput:
-    """Recompute filtered paths for an existing estimate.
-
-    ``eps`` and ``params`` have the shapes ``fit_filter`` takes and returns:
-    an (n,) window with one params object, or an (n, H) window with a list.
-    """
-    return _paths(np.asarray(eps, dtype=float), spec, params)
+    """Recompute the paths of an (n, H) window for ``fit_filter``'s list of H params."""
+    return _paths(_rows(eps), spec, params)

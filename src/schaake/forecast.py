@@ -1,10 +1,12 @@
 """Forecasting phase: univariate quantile ensembles and their reordering.
 
 Each hour's ensemble holds the m equally spaced quantiles of the predicted
-error distribution around the bias-corrected point forecast.  Pairing the 24
-hourly ensembles row-wise through a rank matrix (:func:`shuffle`) transfers the
-learned dependence onto the forecast (the Schaake shuffle); the independence
-variant shuffles them by a random rank matrix instead.
+error distribution around the bias-corrected point forecast.  The (m, H)
+member matrix holds one hour per column; a one-hour caller passes (1,)
+inputs and an (n, 1) margin.  Pairing the 24 hourly ensembles row-wise
+through a rank matrix (:func:`shuffle`) transfers the learned dependence
+onto the forecast (the Schaake shuffle); the independence variant shuffles
+them by a random rank matrix instead.
 
 Forecast files are written by :func:`write_forecast_files`.  A Schaake setting
 and its independence counterpart hold the same numbers per day in another
@@ -27,13 +29,17 @@ from .panel import (N_HOURS, bulk_days, first_fault, hour_names, open_csv, read_
 
 @dataclass(frozen=True)
 class EnsembleForecast:
-    """m x H matrix of simulated prices for one target day (row = scenario)."""
+    """m x H matrix of simulated prices for one target day (row = scenario).
+
+    The members are stored in C order, so a score of them does not depend on
+    the memory layout the caller passed.
+    """
 
     date: datetime.date
     members: np.ndarray
 
     def __post_init__(self):
-        members = np.array(self.members, dtype=float)
+        members = np.array(self.members, dtype=float, order="C")
         if members.ndim != 2:
             raise ValueError("members must be an m x H matrix")
         if not np.all(np.isfinite(members)):
@@ -48,24 +54,25 @@ class EnsembleForecast:
 
 def make_univariate_ensemble(point_fc, one_step, margin: MarginModel,
                              m: int) -> np.ndarray:
-    """m-member quantile ensembles, sorted ascending along axis 0.
+    """The (m, H) member matrix of m-member quantile ensembles, sorted along axis 0.
 
     Member i of hour h is (point_fc[h] + mu[h]) + F_h^{-1}(i/(m+1)) * sigma[h],
-    with (mu, sigma) the filter's one-step forecast and F_h hour h's margin.
-    Scalars and an (n,) margin give an (m,) ensemble; (H,) inputs give the
-    (m, H) member matrix.  The raw variant has (mu, sigma) = (0, 1).
+    with (H,) point forecasts, the filter's (H,) one-step forecast (mu, sigma)
+    and F_h hour h's margin.  The raw variant has (mu, sigma) = (0, 1).
     """
     point_fc = np.asarray(point_fc, dtype=float)
     mu, sigma = (np.asarray(v, dtype=float) for v in one_step)
+    if point_fc.ndim != 1 or not point_fc.shape == mu.shape == sigma.shape:
+        raise ValueError(f"point forecast and (mu, sigma) must be (H,) vectors, got "
+                         f"{point_fc.shape}, {mu.shape}, {sigma.shape}; pass one hour as (1,)")
     if not np.all(sigma > 0):
         raise ValueError(f"one-step sigma must be positive, got {sigma}")
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
     if not np.all(np.isfinite(point_fc)):
         raise ValueError("point forecast must be finite")
-    hours = np.broadcast_shapes(point_fc.shape, mu.shape, sigma.shape, margin.hours)
     # levels run down axis 0 only, never along the hour axis, even when m == H
-    levels = (np.arange(1, m + 1) / (m + 1)).reshape((m,) + (1,) * len(hours))
+    levels = (np.arange(1, m + 1) / (m + 1))[:, None]
     return (point_fc + mu) + quantile(margin, levels) * sigma
 
 

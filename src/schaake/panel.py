@@ -66,10 +66,6 @@ class HourlyPanel:
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_days(self) -> int:
-        return len(self.dates)
-
 
 def hour_names(n_hours: int) -> list:
     """Column names ``h1..hH``."""

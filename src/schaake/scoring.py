@@ -3,6 +3,8 @@
 Implements the ensemble CRPS and Energy Score, the Diebold-Mariano test on
 daily score series, verification and average rank histograms with a
 chi-square uniformity check, and central prediction-interval coverage.
+A day's scores take (m, H) members, one hour per column, and its (H,)
+outcome; a one-hour caller passes (m, 1) members.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ class ScorePanel:
 
 
 def crps_ensemble(members, y):
-    """CRPS of (m,) members against a scalar, or per column of (m, H) against (H,).
+    """Per-hour CRPS, (H,), of (m, H) members against the (H,) outcome.
 
     Computes (1/m) sum|x_k - y| - (1/(2 m^2)) sum sum|x_l - x_k| along axis 0
     using the sorted-sample identity for the pairwise term, so the value
@@ -72,27 +74,29 @@ def crps_ensemble(members, y):
     """
     members = np.asarray(members, dtype=float)
     y = np.asarray(y, dtype=float)
-    if members.ndim not in (1, 2) or members.shape[0] < 1:
-        raise ValueError("ensemble must be a non-empty (m,) or (m, H) array")
-    if y.shape != members.shape[1:]:
-        raise ValueError(f"outcome shape {y.shape} does not match {members.shape[1:]}")
+    _check_members(members, y.shape)
     m = members.shape[0]
     x = np.sort(members, axis=0)
     dist = np.mean(np.abs(x - y), axis=0)
     # sum_{l,k} |x_l - x_k| = 2 * sum_k (2k - 1 - m) x_(k)
     spread = 2.0 * ((2.0 * np.arange(1, m + 1) - 1.0 - m) @ x)
-    crps = np.maximum(dist - spread / (2.0 * m * m), 0.0)
-    return crps if crps.ndim else float(crps)
+    return np.maximum(dist - spread / (2.0 * m * m), 0.0)
+
+
+def _check_members(members: np.ndarray, outcome: tuple) -> None:
+    """ValueError unless ``members`` is a non-empty (m, H) array and ``outcome`` is (H,)."""
+    if members.ndim != 2 or members.shape[0] < 1:
+        raise ValueError(f"ensemble must be a non-empty (m, H) array, got shape "
+                         f"{members.shape}; pass one hour as (m, 1)")
+    if outcome != members.shape[1:]:
+        raise ValueError(f"outcome shape {outcome} does not match {members.shape[1:]}")
 
 
 def energy_score(members, y) -> float:
-    """Energy Score of an m x d ensemble against a d-vector outcome, clamped at 0 as the CRPS."""
+    """Energy Score of (m, H) members against the (H,) outcome, clamped at 0 as the CRPS."""
     members = np.asarray(members, dtype=float)
     y = np.asarray(y, dtype=float)
-    if members.ndim != 2 or members.shape[0] < 1:
-        raise ValueError("ensemble must be a non-empty m x d matrix")
-    if y.shape != (members.shape[1],):
-        raise ValueError(f"outcome shape {y.shape} does not match d={members.shape[1]}")
+    _check_members(members, y.shape)
     m = members.shape[0]
     dist = float(np.mean(np.linalg.norm(members - y, axis=1)))
     # pdist lists each unordered pair once: half the full double sum
@@ -121,17 +125,10 @@ def dm_test(s1, s2):
 
 
 def verification_rank(members, y):
-    """Rank of the realization in the merged sample, 1 + #{members < y}.
-
-    Counts along axis 0, so (m, H) members and (H,) outcomes give (H,) ranks.
-    """
+    """Per-hour rank, (H,), of the (H,) realization among (m, H) members: 1 + #{members < y}."""
     members = np.asarray(members, dtype=float)
-    if members.ndim not in (1, 2) or members.shape[0] < 1:
-        raise ValueError("ensemble must be a non-empty (m,) or (m, H) array")
-    if np.shape(y) != members.shape[1:]:
-        raise ValueError(f"outcome shape {np.shape(y)} does not match {members.shape[1:]}")
-    rank = 1 + np.count_nonzero(members < y, axis=0)
-    return rank if np.ndim(rank) else int(rank)
+    _check_members(members, np.shape(y))
+    return 1 + np.count_nonzero(members < y, axis=0)
 
 
 def score_forecasts(forecasts, real) -> ScorePanel:

@@ -80,12 +80,13 @@ def test_criterion_2_score_oracles(capsys):
     for _ in range(20):
         members = rng.standard_normal(rng.integers(5, 80)) * rng.uniform(0.5, 20.0)
         y = float(rng.standard_normal() * 10.0)
-        quad_err = max(quad_err, abs(crps_ensemble(members, y) - crps_quadrature(members, y)))
+        quad_err = max(quad_err, abs(crps_ensemble(members[:, None], [y])[0]
+                                     - crps_quadrature(members, y)))
     rel_err = 0.0
     for _ in range(100):
         members = rng.standard_normal(rng.integers(1, 50))
         y = float(rng.standard_normal())
-        c = crps_ensemble(members, y)
+        c = crps_ensemble(members[:, None], [y])[0]
         e = energy_score(members[:, None], [y])
         rel_err = max(rel_err, abs(e - c) / max(abs(c), 1e-300))
     report(capsys, 2, "CRPS quadrature and ES/CRPS agreement",
@@ -175,7 +176,7 @@ def test_criterion_6_filter_recovery(capsys):
     hits = 0
     for seed in range(20):
         eps = argarch_series(5000, 0.0, 0.5, 0.1, 0.1, 0.8, seed=600 + seed)
-        params, _ = fit_filter(eps, FilterSpec(AR_GARCH))
+        (params,), _ = fit_filter(eps[:, None], FilterSpec(AR_GARCH))
         hits += all(abs(getattr(params, k) - v) <= 0.1 for k, v in truth.items())
     sarima_hits = 0
     for seed in range(20):
@@ -184,7 +185,7 @@ def test_criterion_6_filter_recovery(capsys):
         e = rng.standard_normal(2300)
         for t in range(8, 2300):
             x[t] = 0.5 * x[t - 1] + 0.4 * x[t - 7] - 0.2 * x[t - 8] + e[t]
-        params, _ = fit_filter(x[300:], FilterSpec(SARIMA, seasonal_period=7))
+        (params,), _ = fit_filter(x[300:, None], FilterSpec(SARIMA, seasonal_period=7))
         sarima_hits += (abs(params.phi1 - 0.5) <= 0.05
                         and abs(params.seasonal_phi - 0.4) <= 0.05)
     elapsed = time.time() - t0

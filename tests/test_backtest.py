@@ -514,7 +514,7 @@ def test_cli_names_forecast_file_with_wrong_hour_count(panel_csvs, tmp_path, cap
     real = load_panel(panel_csvs / "real.csv")
     two_hours = tmp_path / "forecasts_two.csv"
     write_forecasts_csv([EnsembleForecast(d, real.values[i, :2] + np.arange(3.0)[:, None])
-                         for i, d in enumerate(real.dates[-3:], start=real.n_days - 3)],
+                         for i, d in enumerate(real.dates[-3:], start=len(real.dates) - 3)],
                         two_hours)
     rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"),
                    "--forecasts", str(two_hours), "--out-dir", str(tmp_path / "eval")])

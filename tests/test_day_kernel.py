@@ -1,11 +1,12 @@
-"""Property tests: the (m, H) day kernel against one-hour (1-D) references.
+"""Property tests: the (m, H) day kernel, column by column.
 
 Every function of the day step takes all hours at once, as arrays with a
 trailing hour axis.  Each property compares that call column by column with
-the same function applied to one hour's 1-D slice.  Elementwise results must
-agree exactly; reductions along axis 0 may differ in the last bits, because
-numpy sums a contiguous vector pairwise but an axis-0 reduction row by row,
-so they are held to a relative 1e-12.
+the same function applied to one hour's (·, 1) slice, so no hour's result
+depends on the other hours.  Elementwise results must agree exactly;
+reductions along axis 0 are held to a relative 1e-12.  The independent
+reference for the kernel's values is the scalar backtest of
+``tests/_reference.py`` (``tests/test_reference.py``).
 """
 import numpy as np
 import pytest
@@ -47,8 +48,10 @@ def test_pit_matches_per_hour(data, sample):
     u = pit(MarginModel.empirical(sample), z)
     g = pit(MarginModel.gaussian(), z)
     for h in range(sample.shape[1]):
-        assert np.array_equal(u[:, h], pit(MarginModel.empirical(sample[:, h]), z[:, h]))
-        assert np.array_equal(g[:, h], pit(MarginModel.gaussian(), z[:, h]))
+        column = slice(h, h + 1)
+        assert np.array_equal(u[:, column], pit(MarginModel.empirical(sample[:, column]),
+                                                z[:, column]))
+        assert np.array_equal(g[:, column], pit(MarginModel.gaussian(), z[:, column]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -59,7 +62,8 @@ def test_quantile_matches_per_hour(sample, levels):
     q = quantile(MarginModel.empirical(sample), levels[:, None])
     assert q.shape == (levels.size, sample.shape[1])
     for h in range(sample.shape[1]):
-        assert np.array_equal(q[:, h], quantile(MarginModel.empirical(sample[:, h]), levels))
+        assert np.array_equal(q[:, h:h + 1], quantile(MarginModel.empirical(sample[:, h:h + 1]),
+                                                      levels[:, None]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -73,9 +77,10 @@ def test_univariate_ensemble_matches_per_hour(data, sample, m, gaussian):
     members = make_univariate_ensemble(point, (mu, sigma), margin, m)
     assert members.shape == (m, n_hours)
     for h in range(n_hours):
-        margin_h = margin if gaussian else MarginModel.empirical(sample[:, h])
-        assert np.array_equal(members[:, h], make_univariate_ensemble(
-            point[h], (mu[h], sigma[h]), margin_h, m))
+        column = slice(h, h + 1)
+        margin_h = margin if gaussian else MarginModel.empirical(sample[:, column])
+        assert np.array_equal(members[:, column], make_univariate_ensemble(
+            point[column], (mu[column], sigma[column]), margin_h, m))
 
 
 def test_gaussian_ensemble_levels_do_not_broadcast_across_hours():
@@ -85,8 +90,8 @@ def test_gaussian_ensemble_levels_do_not_broadcast_across_hours():
                                        MarginModel.gaussian(), 24)
     assert members.shape == (24, 24)
     for h in range(24):
-        assert np.array_equal(members[:, h], make_univariate_ensemble(
-            0.0, (0.0, sigma[h]), MarginModel.gaussian(), 24))
+        assert np.array_equal(members[:, h:h + 1], make_univariate_ensemble(
+            [0.0], ([0.0], sigma[h:h + 1]), MarginModel.gaussian(), 24))
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,9 +102,10 @@ def test_crps_and_rank_match_per_hour(data, members):
     ranks = verification_rank(members, y)
     atol = RTOL * scale_of(members, y)
     for h in range(members.shape[1]):
-        np.testing.assert_allclose(crps[h], crps_ensemble(members[:, h], y[h]),
+        column = slice(h, h + 1)
+        np.testing.assert_allclose(crps[column], crps_ensemble(members[:, column], y[column]),
                                    rtol=RTOL, atol=atol)
-        assert ranks[h] == verification_rank(members[:, h], y[h])
+        assert ranks[column] == verification_rank(members[:, column], y[column])
 
 
 def broadcast_energy_score(members, y):
@@ -147,3 +153,22 @@ def test_independence_shuffles_by_one_philox_permutation_per_hour(members, seed)
     assert is_rank_matrix(random_ranks) and np.array_equal(random_ranks, ranks)
     paired = independence_forecast(members, seed=seed).members
     assert paired.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), members=matrices(max_rows=30, max_hours=24))
+def test_scores_do_not_depend_on_the_rank_matrix_layout(data, members):
+    # one sorted ensemble shuffled by a C- and an F-ordered copy of one rank
+    # matrix: the forecasts hold their members in C order, so the scores agree
+    # bit for bit
+    members = np.sort(members, axis=0)
+    m, n_hours = members.shape
+    ranks = np.column_stack([np.asarray(data.draw(st.permutations(range(1, m + 1))))
+                             for _ in range(n_hours)])
+    y = columns_like(data.draw, members, rows=1)[0]
+    c_order = shuffle(members, np.ascontiguousarray(ranks))
+    f_order = shuffle(members, np.asfortranarray(ranks))
+    assert f_order.members.flags.c_contiguous
+    assert crps_ensemble(c_order.members, y).tobytes() == crps_ensemble(f_order.members,
+                                                                         y).tobytes()
+    assert energy_score(c_order.members, y) == energy_score(f_order.members, y)

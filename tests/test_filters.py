@@ -17,6 +17,7 @@ from schaake.filters import (
     FilterOutput,
     FilterSpec,
     FitError,
+    SarimaParams,
     fit_filter,
     filter_output,
 )
@@ -51,17 +52,29 @@ def sarima_series(n, c, phi1, sphi, sigma, s, seed, burn=300):
 
 
 def test_raw_filter_is_identity():
-    eps = np.array([0.3, -0.5, 1.2])
+    eps = np.array([[0.3], [-0.5], [1.2]])
     params, out = fit_filter(eps, FilterSpec(RAW))
-    assert params is None
+    assert params == [None]
     assert np.array_equal(out.z, eps)
     assert np.all(out.sigma_hat == 1.0)
-    assert out.one_step == (0.0, 1.0)
+    assert [v.tolist() for v in out.one_step] == [[0.0], [1.0]]
+
+
+@pytest.mark.parametrize("spec", [FilterSpec(RAW), FilterSpec(AR_GARCH),
+                                  FilterSpec(SARIMA, seasonal_period=7)])
+def test_one_hour_window_is_passed_as_n_by_1(spec):
+    eps = argarch_series(200, 0.0, 0.3, 0.1, 0.1, 0.8, seed=3)
+    with pytest.raises(FitError, match=r"\(n, H\) array, got shape \(200,\); "
+                                       r"pass one hour as \(n, 1\)"):
+        fit_filter(eps, spec)
+    params, _ = fit_filter(eps[:, None], spec)
+    with pytest.raises(FitError, match=r"\(n, H\) array, got shape \(200,\)"):
+        filter_output(eps, spec, params)
 
 
 def test_argarch_recovers_known_parameters():
-    eps = argarch_series(5000, 0.0, 0.5, 0.1, 0.1, 0.8, seed=42)
-    params, out = fit_filter(eps, FilterSpec(AR_GARCH))
+    eps = argarch_series(5000, 0.0, 0.5, 0.1, 0.1, 0.8, seed=42)[:, None]
+    (params,), out = fit_filter(eps, FilterSpec(AR_GARCH))
     truth = {"c": 0.0, "phi": 0.5, "omega": 0.1, "alpha": 0.1, "beta": 0.8}
     for key, value in truth.items():
         assert abs(getattr(params, key) - value) <= 0.1, key
@@ -70,8 +83,8 @@ def test_argarch_recovers_known_parameters():
 
 
 def test_argarch_on_iid_normal_input():
-    eps = rng_for(7).standard_normal(5000)
-    params, out = fit_filter(eps, FilterSpec(AR_GARCH))
+    eps = rng_for(7).standard_normal((5000, 1))
+    (params,), out = fit_filter(eps, FilterSpec(AR_GARCH))
     uncond = params.omega / (1.0 - params.alpha - params.beta)
     assert 0.8 <= uncond <= 1.25
     assert abs(out.z.mean()) <= 0.1
@@ -79,14 +92,14 @@ def test_argarch_on_iid_normal_input():
 
 def test_argarch_standardization_quality():
     # well-specified data: standardized residuals close to mean 0, sd 1
-    eps = argarch_series(2000, 0.1, 0.3, 0.2, 0.1, 0.8, seed=9)
+    eps = argarch_series(2000, 0.1, 0.3, 0.2, 0.1, 0.8, seed=9)[:, None]
     _, out = fit_filter(eps, FilterSpec(AR_GARCH))
     assert abs(out.z.mean()) <= 0.15
     assert 0.85 <= out.z.std() <= 1.15
 
 
 def test_argarch_scale_equivariance():
-    eps = argarch_series(2000, 0.0, 0.4, 0.1, 0.1, 0.8, seed=21)
+    eps = argarch_series(2000, 0.0, 0.4, 0.1, 0.1, 0.8, seed=21)[:, None]
     _, out1 = fit_filter(eps, FilterSpec(AR_GARCH))
     _, out2 = fit_filter(1000.0 * eps, FilterSpec(AR_GARCH))
     assert np.max(np.abs(out1.z - out2.z)) <= 1e-3
@@ -115,11 +128,11 @@ def test_argarch_output_matches_scalar_recursion():
     eps = argarch_series(364, 0.2, 0.3, 0.1, 0.1, 0.8, seed=4)
     params = ArGarchParams(0.1, 0.3, 0.2, 0.1, 0.85)
     e, h = reference_argarch_paths(eps, 0.1, 0.3, 0.2, 0.1, 0.85)
-    out = filter_output(eps, FilterSpec(AR_GARCH), params)
-    np.testing.assert_allclose(out.sigma_hat, np.sqrt(h[:-1]), rtol=1e-12)
-    np.testing.assert_allclose(out.z, e / np.sqrt(h[:-1]), rtol=1e-12, atol=1e-14)
-    assert out.one_step[0] == pytest.approx(0.1 + 0.3 * eps[-1], rel=1e-12)
-    assert out.one_step[1] == pytest.approx(math.sqrt(h[-1]), rel=1e-12)
+    out = filter_output(eps[:, None], FilterSpec(AR_GARCH), [params])
+    np.testing.assert_allclose(out.sigma_hat[:, 0], np.sqrt(h[:-1]), rtol=1e-12)
+    np.testing.assert_allclose(out.z[:, 0], e / np.sqrt(h[:-1]), rtol=1e-12, atol=1e-14)
+    assert out.one_step[0][0] == pytest.approx(0.1 + 0.3 * eps[-1], rel=1e-12)
+    assert out.one_step[1][0] == pytest.approx(math.sqrt(h[-1]), rel=1e-12)
 
 
 def test_argarch_fit_improves_on_start_and_truth(monkeypatch):
@@ -132,14 +145,14 @@ def test_argarch_fit_improves_on_start_and_truth(monkeypatch):
         return bfgs(fun, x0, *args)
 
     monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
-    params, _ = fit_filter(eps, FilterSpec(AR_GARCH))
+    (params,), _ = fit_filter(eps[:, None], FilterSpec(AR_GARCH))
     fitted = reference_nll(eps, params)
     assert fitted <= filters._argarch_objective(starts[0][None], eps[None])[0][0]
     assert fitted <= reference_nll(eps, ArGarchParams(0.0, 0.3, 0.1, 0.1, 0.8))
 
 
 def test_argarch_refit_is_bit_identical():
-    eps = rng_for(13).standard_normal(364)
+    eps = rng_for(13).standard_normal((364, 1))
     p1, out1 = fit_filter(eps, FilterSpec(AR_GARCH), seed=3)
     p2, out2 = fit_filter(eps, FilterSpec(AR_GARCH), seed=3)
     assert p1 == p2
@@ -157,7 +170,8 @@ def test_argarch_fails_loudly_without_convergence(monkeypatch):
 
     monkeypatch.setattr(filters, "_bfgs", unconverged_bfgs)
     with pytest.raises(FitError, match="did not converge after 5 attempts"):
-        fit_filter(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1), FilterSpec(AR_GARCH))
+        fit_filter(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1)[:, None],
+                   FilterSpec(AR_GARCH))
     assert len(calls) == 5
 
 
@@ -169,7 +183,7 @@ def test_argarch_fit_emits_no_numeric_warnings():
                                                rng_for(1).standard_normal((1, 364)))
         assert nll[0] == math.inf and not np.any(grad)
         for seed in range(12):
-            window = 3.0 * rng_for(400 + seed).standard_normal(364)
+            window = 3.0 * rng_for(400 + seed).standard_normal((364, 1))
             fit_filter(window, FilterSpec(AR_GARCH), seed=seed)
         fit_filter(3.0 * rng_for(450).standard_normal((364, 12)), FilterSpec(AR_GARCH), seed=12)
 
@@ -186,11 +200,11 @@ def test_argarch_hours_fit_independently(garch, seed, n, data):
                              FilterSpec(AR_GARCH), seed=seed)
     assert len(params) == len(columns)
     for j, i in enumerate(order):
-        alone, out_alone = fit_filter(columns[i], FilterSpec(AR_GARCH), seed=seed)
-        assert params[j] == alone
+        alone, out_alone = fit_filter(columns[i][:, None], FilterSpec(AR_GARCH), seed=seed)
+        assert params[j] == alone[0]
         for batch, single in ((out.sigma_hat, out_alone.sigma_hat), (out.z, out_alone.z)):
-            assert np.array_equal(batch[:, j], single)
-        assert (out.one_step[0][j], out.one_step[1][j]) == out_alone.one_step
+            assert np.array_equal(batch[:, j], single[:, 0])
+        assert (out.one_step[0][j], out.one_step[1][j]) == tuple(v[0] for v in out_alone.one_step)
 
 
 def lbfgsb_fit(eps, theta0):
@@ -270,10 +284,10 @@ def test_filter_outputs_of_a_window_match_its_columns():
         params, out = fit_filter(window, spec)
         assert out.z.shape == window.shape and out.z.flags.c_contiguous
         for h in range(window.shape[1]):
-            single = filters.filter_output(window[:, h], spec, params[h])
-            assert np.array_equal(out.sigma_hat[:, h], single.sigma_hat)
-            assert np.array_equal(out.z[:, h], single.z)
-            assert (out.one_step[0][h], out.one_step[1][h]) == single.one_step
+            single = filters.filter_output(window[:, h:h + 1], spec, params[h:h + 1])
+            assert np.array_equal(out.sigma_hat[:, h], single.sigma_hat[:, 0])
+            assert np.array_equal(out.z[:, h], single.z[:, 0])
+            assert (out.one_step[0][h], out.one_step[1][h]) == tuple(v[0] for v in single.one_step)
 
 
 def same_output(a, b) -> bool:
@@ -289,30 +303,32 @@ def same_output(a, b) -> bool:
        n=st.integers(100, 160))
 def test_fit_filter_paths_are_filter_outputs(spec, garch, seed, n):
     # one path function: a fit's paths are those filter_output gives for its
-    # params, and an (n,) window's are column 0 of its (n, 1) form
+    # params, and an (n, 1) window's are column 0 of the whole window's
     window = np.column_stack([argarch_series(n, 0.1, 0.3, 0.1, 0.1, 0.8, seed=seed + i) if g
                               else 2.0 * rng_for(seed + i).standard_normal(n)
                               for i, g in enumerate(garch)])
-    for eps in (window, window[:, 0]):
+    fits = []
+    for eps in (window, window[:, :1]):
         params, out = fit_filter(eps, spec, seed=seed)
         assert out.sigma_hat.shape == out.z.shape == eps.shape
         assert same_output(out, filter_output(eps, spec, params))
-    column_params, column = fit_filter(window[:, :1], spec, seed=seed)
-    assert column_params == [params]
-    assert same_output(out, FilterOutput(column.sigma_hat[:, 0], column.z[:, 0],
-                                         tuple(float(v[0]) for v in column.one_step)))
+        fits.append((params, out))
+    (params, out), (column_params, column) = fits
+    assert column_params == params[:1]
+    assert same_output(column, FilterOutput(out.sigma_hat[:, :1], out.z[:, :1],
+                                            tuple(v[:1] for v in out.one_step)))
 
 
 def test_argarch_rejects_short_or_constant_input():
     with pytest.raises(FitError, match="observations"):
-        fit_filter(np.zeros(50), FilterSpec(AR_GARCH))
+        fit_filter(np.zeros((50, 1)), FilterSpec(AR_GARCH))
     with pytest.raises(FitError, match="constant"):
-        fit_filter(np.full(200, 3.0), FilterSpec(AR_GARCH))
+        fit_filter(np.full((200, 1), 3.0), FilterSpec(AR_GARCH))
 
 
 def test_sarima_recovers_known_parameters():
     x = sarima_series(2000, 0.3, 0.5, 0.4, 1.0, s=7, seed=3)
-    params, out = fit_filter(x, FilterSpec(SARIMA, seasonal_period=7))
+    (params,), out = fit_filter(x[:, None], FilterSpec(SARIMA, seasonal_period=7))
     assert abs(params.phi1 - 0.5) <= 0.05
     assert abs(params.seasonal_phi - 0.4) <= 0.05
     assert 0.9 <= params.sigma <= 1.1
@@ -320,20 +336,20 @@ def test_sarima_recovers_known_parameters():
     # one-step mean follows the multiplicative AR recursion
     expected = (params.c + params.phi1 * x[-1] + params.seasonal_phi * x[-7]
                 - params.phi1 * params.seasonal_phi * x[-8])
-    assert out.one_step == (pytest.approx(expected), params.sigma)
+    assert (out.one_step[0][0], out.one_step[1][0]) == (pytest.approx(expected), params.sigma)
 
 
 def test_sarima_rejects_short_window():
     with pytest.raises(FitError, match="observations"):
-        fit_filter(np.arange(10.0), FilterSpec(SARIMA, seasonal_period=7))
+        fit_filter(np.arange(10.0)[:, None], FilterSpec(SARIMA, seasonal_period=7))
 
 
 def test_fit_filter_dispatch():
     x = sarima_series(500, 0.0, 0.4, 0.3, 1.0, s=7, seed=8)
-    params, _ = fit_filter(x, FilterSpec(SARIMA, seasonal_period=7))
-    assert params.seasonal_period == 7
+    (params,), _ = fit_filter(x[:, None], FilterSpec(SARIMA, seasonal_period=7))
+    assert isinstance(params, SarimaParams)
     eps = argarch_series(400, 0.0, 0.3, 0.1, 0.1, 0.8, seed=2)
-    params, _ = fit_filter(eps, FilterSpec(AR_GARCH))
+    (params,), _ = fit_filter(eps[:, None], FilterSpec(AR_GARCH))
     assert params.alpha + params.beta < 1
 
 

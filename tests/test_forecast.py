@@ -28,38 +28,49 @@ TOY_ENSEMBLES = TOY_QUANTILES.T
 
 
 def test_univariate_ensemble_empirical():
-    margin = MarginModel.empirical([-1.0, 0.0, 1.0])
-    members = make_univariate_ensemble(10.0, (0.0, 1.0), margin, m=3)
-    assert members == pytest.approx([9.0, 10.0, 11.0])
+    margin = MarginModel.empirical([[-1.0], [0.0], [1.0]])
+    members = make_univariate_ensemble([10.0], ([0.0], [1.0]), margin, m=3)
+    assert members[:, 0] == pytest.approx([9.0, 10.0, 11.0])
 
 
 def test_univariate_ensemble_gaussian_single_member():
-    members = make_univariate_ensemble(0.0, (0.0, 1.0), MarginModel.gaussian(), m=1)
-    assert members == pytest.approx([0.0])
+    members = make_univariate_ensemble([0.0], ([0.0], [1.0]), MarginModel.gaussian(), m=1)
+    assert members[:, 0] == pytest.approx([0.0])
 
 
 def test_univariate_ensemble_raw_formula():
     # with (mu, sigma) = (0, 1) the members are point forecast plus error quantiles
     sample = rng_for(1).standard_normal(90)
-    margin = MarginModel.empirical(sample)
-    members = make_univariate_ensemble(42.0, (0.0, 1.0), margin, m=90)
-    assert members == pytest.approx(42.0 + np.sort(sample))
+    margin = MarginModel.empirical(sample[:, None])
+    members = make_univariate_ensemble([42.0], ([0.0], [1.0]), margin, m=90)
+    assert members[:, 0] == pytest.approx(42.0 + np.sort(sample))
 
 
 def test_univariate_ensemble_bias_and_scale():
-    margin = MarginModel.empirical([-1.0, 0.0, 1.0])
-    members = make_univariate_ensemble(10.0, (2.0, 3.0), margin, m=3)
-    assert members == pytest.approx([12.0 - 3.0, 12.0, 12.0 + 3.0])
+    margin = MarginModel.empirical([[-1.0], [0.0], [1.0]])
+    members = make_univariate_ensemble([10.0], ([2.0], [3.0]), margin, m=3)
+    assert members[:, 0] == pytest.approx([12.0 - 3.0, 12.0, 12.0 + 3.0])
 
 
 def test_univariate_ensemble_rejects_bad_inputs():
     margin = MarginModel.gaussian()
     with pytest.raises(ValueError):
-        make_univariate_ensemble(0.0, (0.0, -1.0), margin, m=3)
+        make_univariate_ensemble([0.0], ([0.0], [-1.0]), margin, m=3)
     with pytest.raises(ValueError):
-        make_univariate_ensemble(np.inf, (0.0, 1.0), margin, m=3)
+        make_univariate_ensemble([np.inf], ([0.0], [1.0]), margin, m=3)
     with pytest.raises(ValueError):
-        make_univariate_ensemble(0.0, (0.0, 1.0), margin, m=0)
+        make_univariate_ensemble([0.0], ([0.0], [1.0]), margin, m=0)
+
+
+def test_univariate_ensemble_takes_hour_vectors():
+    margin = MarginModel.empirical(rng_for(9).standard_normal((20, 1)))
+    with pytest.raises(ValueError, match=r"must be \(H,\) vectors, got \(\), \(\), \(\); "
+                                         r"pass one hour as \(1,\)"):
+        make_univariate_ensemble(10.0, (0.0, 1.0), margin, m=5)
+    with pytest.raises(ValueError, match=r"got \(2,\), \(2,\), \(1,\)"):
+        make_univariate_ensemble([10.0, 11.0], ([0.0, 0.0], [1.0]), margin, m=5)
+    with pytest.raises(ValueError, match=r"m x H matrix"):
+        shuffle(np.arange(5.0), np.arange(1, 6))
 
 
 def test_shuffle_toy_example_rows():
@@ -100,10 +111,10 @@ def test_shuffle_rank_preservation():
 
 
 def test_shuffle_affine_equivariance():
-    margin = MarginModel.empirical(rng_for(4).standard_normal(20))
+    margin = MarginModel.empirical(rng_for(4).standard_normal(20)[:, None])
     k = 3.5
-    base = make_univariate_ensemble(10.0, (1.0, 2.0), margin, m=20)
-    scaled = make_univariate_ensemble(k * 10.0, (k * 1.0, k * 2.0), margin, m=20)
+    base = make_univariate_ensemble([10.0], ([1.0], [2.0]), margin, m=20)
+    scaled = make_univariate_ensemble([k * 10.0], ([k * 1.0], [k * 2.0]), margin, m=20)
     assert scaled == pytest.approx(k * base)
 
 

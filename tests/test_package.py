@@ -27,3 +27,11 @@ def test_only_panel_knows_the_csv_dialect():
     assert importers == ["panel.py"]
     for call in ("csv.reader(", "csv.writer("):
         assert sum(text.count(call) for text in sources.values()) == 1
+
+
+def test_the_scalar_reference_imports_nothing_from_schaake():
+    # the oracle of tests/test_reference.py must not call the code it checks
+    source = (Path(__file__).resolve().parent / "_reference.py").read_text(encoding="utf-8")
+    imports = re.findall(r"^\s*(?:import|from)\s+([\w.]+)", source, re.M)
+    assert imports and not [name for name in imports if name.split(".")[0] == "schaake"]
+    assert "schaake" not in re.sub(r"#.*|\"\"\"[\s\S]*?\"\"\"", "", source)

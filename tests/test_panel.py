@@ -40,7 +40,7 @@ def test_load_two_day_file(tmp_path):
     path = tmp_path / "prices.csv"
     write_csv(path, full_day("2020-01-01", 10.0) + full_day("2020-01-02", 20.0))
     panel = load_panel(path)
-    assert panel.n_days == 2
+    assert len(panel.dates) == 2
     assert panel.values.size == 48
     assert panel.dates == (datetime.date(2020, 1, 1), datetime.date(2020, 1, 2))
     assert panel.values[0, 0] == pytest.approx(10.1)
@@ -83,7 +83,7 @@ def test_incomplete_day_dropped_with_warning(tmp_path):
               + [("2020-01-02", h, 1.0) for h in range(1, 24)])
     with pytest.warns(UserWarning, match="missing hours"):
         panel = load_panel(path)
-    assert panel.n_days == 1
+    assert len(panel.dates) == 1
 
 
 def test_non_finite_value_rejected(tmp_path):

@@ -1,0 +1,95 @@
+"""The backtest against the scalar reference backtest of ``tests/_reference.py``.
+
+A differential test: the vectorised backtest and a per-hour transcription of
+the method in Python floats must give the same forecasts bit for bit, skip
+the same (setting, day) pairs, and score alike.  The reference takes the
+estimates of the backtest's ``fit_filter`` calls, and asks for them by
+window, so the comparison covers every step after estimation and the refit
+schedule.
+"""
+import warnings
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference
+from _simulate import argarch_copula_errors, equicorrelated_normals, panels_from_errors
+from schaake import filters
+from schaake.backtest import SETTING_TABLE, BacktestConfig, run_backtest
+from schaake.filters import AR_GARCH, RAW, SARIMA, FilterSpec
+
+# scores sum in another order than the package's; a score is also held
+# within 1e-12 of its day's largest |value|, as a CRPS of 0 has no relative error
+SCORE_RTOL = 1e-12
+
+
+@st.composite
+def backtests(draw):
+    """A small panel and a config with every setting and drawn filter overrides."""
+    error_window = draw(st.integers(100, 130))
+    m = draw(st.integers(5, 20))
+    # margin windows shorter than m make empirical PITs tie
+    margin_window = draw(st.one_of(st.integers(2, m), st.integers(m, error_window)))
+    n_days = error_window + draw(st.integers(2, 5))
+    specs = [FilterSpec(RAW), FilterSpec(AR_GARCH),
+             FilterSpec(SARIMA, seasonal_period=draw(st.integers(2, 7)))]
+    overrides = {name: draw(st.sampled_from(specs)) for name in SETTING_TABLE
+                 if draw(st.booleans())}
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        errors = argarch_copula_errors(n_days, 0.6, seed)
+    else:
+        errors = 3.0 * equicorrelated_normals(n_days, 0.6, seed)
+    flat_until = draw(st.none() | st.integers(error_window - 3, n_days))
+    if flat_until is not None:  # one hour constant: fits fail, Gaussian copulas degenerate
+        errors[:flat_until, draw(st.integers(0, 23))] = 0.5
+    cfg = BacktestConfig(error_window=error_window, margin_window=margin_window,
+                         dependence_window=m, filter_overrides=overrides, seed=seed,
+                         refit_every=draw(st.integers(1, 5)))
+    return panels_from_errors(errors), cfg
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=backtests())
+def test_backtest_matches_the_scalar_reference(case):
+    (real, fc), cfg = case
+    fits = {}  # (window bytes, spec) -> the backtest's estimates, None for a failed fit
+    fit_filter = filters.fit_filter
+
+    def recording_fit(window, spec, seed):
+        key = np.asarray(window).tobytes(), spec
+        fits[key] = None
+        params, paths = fit_filter(window, spec, seed)
+        fits[key] = params
+        return params, paths
+
+    with mock.patch.object(filters, "fit_filter", recording_fit), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # skip reasons
+        result = run_backtest(real, fc, cfg)
+
+    def fit(window, spec):  # a fit the backtest did not make raises KeyError
+        return fits[np.array(window).tobytes(), spec]
+
+    expected, skipped = _reference.reference_backtest(
+        real.values.tolist(), fc.values.tolist(), real.dates,
+        specs={name: cfg.filter_spec(name) for name in cfg.settings}, fit=fit,
+        error_window=cfg.error_window, margin_window=cfg.margin_window, m=cfg.m,
+        refit_every=cfg.refit_every, seed=cfg.seed)
+    assert {name: set(result.skipped.get(name, ())) for name in cfg.settings} == skipped
+    for name in cfg.settings:
+        forecasts, days = result.forecasts[name], expected[name]
+        assert [f.date for f in forecasts] == sorted(days)
+        for f in forecasts:
+            assert f.members.tobytes() == np.array(days[f.date][0]).tobytes(), (name, f.date)
+        if not forecasts:
+            continue
+        scores = result.scores[name]
+        for i, f in enumerate(forecasts):
+            _, es, crps, ranks = days[f.date]
+            y = real.values[real.dates.index(f.date)]
+            atol = SCORE_RTOL * max(np.max(np.abs(f.members)), np.max(np.abs(y)))
+            np.testing.assert_allclose(scores.es[i], es, rtol=SCORE_RTOL, atol=atol)
+            np.testing.assert_allclose(scores.crps[i], crps, rtol=SCORE_RTOL, atol=atol)
+            assert tuple(scores.ranks[i].tolist()) == ranks

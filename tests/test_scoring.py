@@ -41,11 +41,11 @@ def crps_quadrature_oracle(members, y):
 
 
 def test_crps_single_member():
-    assert crps_ensemble([5.0], 3.0) == pytest.approx(2.0)
+    assert crps_ensemble([[5.0]], [3.0])[0] == pytest.approx(2.0)
 
 
 def test_crps_two_members():
-    assert crps_ensemble([0.0, 2.0], 1.0) == pytest.approx(0.5)
+    assert crps_ensemble([[0.0], [2.0]], [1.0])[0] == pytest.approx(0.5)
 
 
 def test_crps_matches_pairwise_oracle():
@@ -53,7 +53,7 @@ def test_crps_matches_pairwise_oracle():
     for _ in range(25):
         members = rng.standard_normal(rng.integers(1, 15))
         y = float(rng.standard_normal())
-        assert crps_ensemble(members, y) == pytest.approx(
+        assert crps_ensemble(members[:, None], [y])[0] == pytest.approx(
             crps_pairwise_oracle(members, y), rel=1e-12, abs=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_crps_matches_quadrature():
     for _ in range(10):
         members = rng.standard_normal(50) * rng.uniform(0.5, 3.0)
         y = float(rng.standard_normal())
-        assert crps_ensemble(members, y) == pytest.approx(
+        assert crps_ensemble(members[:, None], [y])[0] == pytest.approx(
             crps_quadrature_oracle(members, y), abs=1e-10)
 
 
@@ -70,7 +70,7 @@ def test_crps_large_gaussian_ensemble():
     members = rng_for(3).standard_normal(10000)
     # CRPS of N(0,1) at y = 0 is (sqrt(2) - 1) / sqrt(pi)
     closed_form = (np.sqrt(2.0) - 1.0) / np.sqrt(np.pi)
-    assert crps_ensemble(members, 0.0) == pytest.approx(closed_form, abs=0.01)
+    assert crps_ensemble(members[:, None], [0.0])[0] == pytest.approx(closed_form, abs=0.01)
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,7 +97,7 @@ def test_energy_score_reduces_to_crps_in_1d():
         members = rng.standard_normal(rng.integers(1, 20))
         y = float(rng.standard_normal())
         assert energy_score(members[:, None], [y]) == pytest.approx(
-            crps_ensemble(members, y), rel=1e-12)
+            crps_ensemble(members[:, None], [y])[0], rel=1e-12)
 
 
 def test_scores_translation_invariant():
@@ -107,8 +107,8 @@ def test_scores_translation_invariant():
     shift = np.full(24, 17.25)
     assert energy_score(members + shift, y + shift) == pytest.approx(
         energy_score(members, y), rel=1e-12)
-    assert crps_ensemble(members[:, 0] + 17.25, y[0] + 17.25) == pytest.approx(
-        crps_ensemble(members[:, 0], y[0]), rel=1e-12)
+    assert crps_ensemble(members[:, :1] + 17.25, y[:1] + 17.25)[0] == pytest.approx(
+        crps_ensemble(members[:, :1], y[:1])[0], rel=1e-12)
 
 
 def test_energy_score_positive_homogeneity():
@@ -169,15 +169,25 @@ def test_dm_size_monte_carlo():
 
 
 def test_verification_rank_boundaries():
-    members = np.arange(1.0, 91.0)
-    assert verification_rank(members, 0.0) == 1
-    assert verification_rank(members, 1000.0) == 91
-    assert verification_rank([1.0, 2.0, 3.0], 2.5) == 3
+    members = np.arange(1.0, 91.0)[:, None]
+    assert verification_rank(members, [0.0])[0] == 1
+    assert verification_rank(members, [1000.0])[0] == 91
+    assert verification_rank([[1.0], [2.0], [3.0]], [2.5])[0] == 3
 
 
 def test_verification_rank_ties_go_above():
     # realization equal to a member ranks above it (strict inequality)
-    assert verification_rank([1.0, 2.0, 3.0], 2.0) == 2
+    assert verification_rank([[1.0], [2.0], [3.0]], [2.0])[0] == 2
+
+
+def test_one_hour_members_are_passed_as_m_by_1():
+    members, y = rng_for(10).standard_normal(20), 0.5
+    for score in (crps_ensemble, verification_rank, energy_score):
+        with pytest.raises(ValueError, match=r"\(m, H\) array, got shape \(20,\); "
+                                             r"pass one hour as \(m, 1\)"):
+            score(members, y)
+        with pytest.raises(ValueError, match=r"outcome shape \(\) does not match \(1,\)"):
+            score(members[:, None], y)
 
 
 def test_verification_ranks_vectorized():
@@ -187,7 +197,7 @@ def test_verification_ranks_vectorized():
     y = rng.standard_normal(40)
     vec = verification_rank(members, y)
     for t in range(40):
-        assert vec[t] == verification_rank(members[:, t], y[t])
+        assert vec[t] == verification_rank(members[:, t:t + 1], y[t:t + 1])[0]
 
 
 def test_rank_histogram_counts():
