@@ -11,25 +11,23 @@ paths over the learning window, the (n, H) standardized residuals, and a
 one-step-ahead (mu, sigma) forecast for the target day, two (H,) arrays.
 One function computes these paths for all three filters.
 
-The AR-GARCH likelihoods of all H hours are evaluated together: the
-variance recursion runs as one linear filter call per hour and its gradient
-as one more, run backwards (the adjoint method).  One BFGS search with a
-backtracking Armijo line search fits the H hours at once; every hour keeps
-its own search state and sees only its own column, so an hour's estimate
-does not depend on which hours share its window.  An hour whose search does
-not converge (within 500 iterations, or because its line search stalls) is
-searched again by the same BFGS, from its best point plus a seeded jitter,
-up to 4 times.  A fit with an hour whose 5 searches all fail to converge
-raises ``FitError``; the backtest skips that day.
+Both fitted filters minimize their objective, with its analytic gradient,
+by one BFGS search over all H hours at once; every hour keeps its own search
+state and sees only its own column, so its estimate does not depend on the
+hours that share its window.  An hour whose search does not converge is
+searched again from its best point plus a seeded jitter, up to 4 times; a
+fit with an hour whose 5 searches all fail raises ``FitError``, and the
+backtest skips that day.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import signal
 from scipy.special import expit
 
 RAW = "raw"
@@ -337,20 +335,50 @@ def _bfgs(fun, x0, args, h0):
     return x_out, f_out, converged
 
 
+def _search(objective, theta0, rows, h0, seed, what):
+    """Minimize ``objective`` for each of the k ``rows`` from (k, d) ``theta0``.
+
+    One ``_bfgs`` search runs on all rows; those that do not converge are
+    searched again, together, up to 4 times, each from its lowest point theta
+    plus 0.1 * max(|theta|, 1) * jitter, the jitters one (4, d) standard
+    normal draw from ``Philox(seed)``.  Returns the (k, d) lowest points, or
+    raises ``FitError`` naming ``what`` and the hours whose 5 searches fail.
+    """
+    theta, f, converged = _bfgs(objective, theta0, rows, h0)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for z in rng.standard_normal((_RESTARTS, theta.shape[1])):
+        retry = np.flatnonzero(~converged)
+        if not retry.size:
+            break
+        start = theta[retry] + 0.1 * np.maximum(np.abs(theta[retry]), 1.0) * z
+        x, f_retry, converged[retry] = _bfgs(objective, start, rows[retry], h0[retry])
+        better = f_retry < f[retry]
+        theta[retry[better]], f[retry[better]] = x[better], f_retry[better]
+    if not converged.all():
+        raise FitError(f"{what} did not converge after {_RESTARTS + 1} attempts"
+                       f"{_hours(np.flatnonzero(~converged))}")
+    return theta
+
+
+def _params(cls, columns, what) -> list:
+    """One ``cls(*values)`` per hour from (H,) ``columns``; ``FitError`` if ``cls`` refuses one."""
+    params = []
+    for h, values in enumerate(zip(*(v.tolist() for v in columns))):
+        try:
+            params.append(cls(*values))
+        except ValueError as exc:
+            raise FitError(f"{what} estimate outside parameter space"
+                           f"{_hours([h])}: {exc}") from None
+    return params
+
+
 def _fit_argarch(rows: np.ndarray, seed: int) -> list:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to (H, n) ``rows``, one hour per row.
 
     The search runs in a transformed unconstrained space, so the stationarity
     and positivity constraints hold by construction, and uses the analytic
     gradient of the likelihood.  It starts from moment estimates and runs
-    BFGS on all hours at once.  The hours whose search does not converge (see
-    ``_bfgs``) are searched again, together, up to 4 times, each from its
-    lowest-NLL point theta plus 0.1 * max(|theta|, 1) * jitter; the jitters
-    are one (4, 5) standard normal draw from ``Philox(seed)``, the same for
-    every hour.  An hour keeps its lowest-NLL point.  Raises ``FitError``,
-    naming the hours, when all 5 of an hour's searches fail to converge.
-
-    Returns a list of one ``ArGarchParams`` per row.
+    ``_search``.  Returns a list of one ``ArGarchParams`` per row.
     """
     n = rows.shape[1]
     if n < _MIN_ARGARCH_WINDOW:
@@ -363,76 +391,53 @@ def _fit_argarch(rows: np.ndarray, seed: int) -> list:
     theta0 = _argarch_start(rows, var)
     # the first step's metric scales c with the data, so the search path
     # does not depend on the units of the errors
-    h0 = np.ones(theta0.shape)
-    h0[:, 0] = var
-    theta, nll, converged = _bfgs(_argarch_objective, theta0, rows, h0)
-    jitter = np.random.Generator(np.random.Philox(seed)).standard_normal((_RESTARTS, 5))
-    for z in jitter:
-        retry = np.flatnonzero(~converged)
-        if not retry.size:
-            break
-        start = theta[retry] + 0.1 * np.maximum(np.abs(theta[retry]), 1.0) * z
-        x, f, converged[retry] = _bfgs(_argarch_objective, start, rows[retry], h0[retry])
-        better = f < nll[retry]
-        theta[retry[better]], nll[retry[better]] = x[better], f[better]
-    if not converged.all():
-        raise FitError(f"AR-GARCH QMLE did not converge after {_RESTARTS + 1} attempts"
-                       f"{_hours(np.flatnonzero(~converged))}")
-
-    params = []
-    for h, values in enumerate(zip(*(v.tolist() for v in _argarch_untransform(theta)))):
-        try:
-            params.append(ArGarchParams(*values))
-        except ValueError as exc:
-            raise FitError(f"AR-GARCH estimate outside parameter space"
-                           f"{_hours([h])}: {exc}") from None
-    return params
+    h0 = np.column_stack([var, np.ones((len(var), 4))])
+    theta = _search(_argarch_objective, theta0, rows, h0, seed, "AR-GARCH QMLE")
+    return _params(ArGarchParams, _argarch_untransform(theta), "AR-GARCH")
 
 
 # ---------------------------------------------------------------------------
 # Seasonal AR by conditional least squares
 # ---------------------------------------------------------------------------
 
-def _sarima_residuals(coef, eps, s):
-    c, phi1, sphi = coef
-    # multiplicative AR representation: lags 1, s and s+1
-    return (eps[s + 1:] - c - phi1 * eps[s:-1] - sphi * eps[1:-s]
-            + phi1 * sphi * eps[:-s - 1])
+def _sarima_objective(theta, eps, s):
+    """Half the mean squared residual of the seasonal AR, (H,), and its (H, 3) gradient.
+
+    ``theta`` holds one (c, phi1, seasonal_phi) per row of the (H, n) ``eps``;
+    the residuals of days s+1 .. n-1 are those of the multiplicative AR.
+    """
+    c, phi1, sphi = (theta[:, [i]] for i in range(3))
+    lag1, lag_s, lag_s1 = eps[:, s:-1], eps[:, 1:-s], eps[:, :-s - 1]
+    r = eps[:, s + 1:] - c - phi1 * lag1 - sphi * lag_s + phi1 * sphi * lag_s1
+    grad = -np.column_stack([r.mean(axis=1), (r * (lag1 - sphi * lag_s1)).mean(axis=1),
+                             (r * (lag_s - phi1 * lag_s1)).mean(axis=1)])
+    return 0.5 * (r * r).mean(axis=1), grad
 
 
-def _fit_sarima(rows: np.ndarray, s: int) -> list:
-    """Fit the seasonal AR model by conditional least squares.
+def _fit_sarima(rows: np.ndarray, s: int, seed: int) -> list:
+    """Fit the seasonal AR model to (H, n) ``rows`` by conditional least squares.
 
-    The model has one AR coefficient at lag 1 and one seasonal AR coefficient
-    at lag ``s``; with no MA terms, conditional least squares on the
-    multiplicative representation is exact.  The residual standard deviation
-    serves as the constant sigma path.  The (H, n) ``rows`` are fitted one
-    hour per row.  Returns a list of one ``SarimaParams`` per row.
+    With no MA terms, conditional least squares on the multiplicative
+    representation is exact.  ``_search`` fits each row divided by its
+    standard deviation, so the search does not depend on the units, from
+    (mean, 0, 0).  The constant sigma path is sqrt(SSR / (N - 1)) over the N
+    residuals.  Returns a list of one ``SarimaParams`` per row.
     """
     if rows.shape[1] < 3 * s:
         raise FitError(f"seasonal AR needs >= {3 * s} observations, got {rows.shape[1]}")
-    constant = np.flatnonzero(np.var(rows, axis=1) <= 0.0)
-    if constant.size:
-        raise FitError(f"constant input series{_hours(constant)}: "
+    sd = np.std(rows, axis=1)
+    if np.any(sd <= 0.0):
+        raise FitError(f"constant input series{_hours(np.flatnonzero(sd <= 0.0))}: "
                        "seasonal AR fit is undefined")
 
-    params = []
-    for h, row in enumerate(rows):
-        where = _hours([h])
-        res = optimize.least_squares(_sarima_residuals, x0=np.array([row.mean(), 0.0, 0.0]),
-                                     args=(row, s), method="lm")
-        if not res.success:
-            raise FitError(f"seasonal AR conditional least squares did not converge{where}")
-        c, phi1, sphi = res.x
-        sigma = float(np.std(_sarima_residuals(res.x, row, s), ddof=1))
-        if not sigma > 0:
-            raise FitError(f"degenerate residuals in seasonal AR fit{where}")
-        try:
-            params.append(SarimaParams(float(c), float(phi1), float(sphi), sigma))
-        except ValueError as exc:
-            raise FitError(f"seasonal AR estimate outside parameter space{where}: "
-                           f"{exc}") from None
-    return params
+    z = rows / sd[:, None]
+    theta0 = np.column_stack([z.mean(axis=1), np.zeros((len(z), 2))])
+    objective = functools.partial(_sarima_objective, s=s)
+    theta = _search(objective, theta0, z, np.ones(theta0.shape), seed,
+                    "seasonal AR conditional least squares")
+    n_res = rows.shape[1] - s - 1
+    sigma = sd * np.sqrt(2.0 * objective(theta, z)[0] * n_res / (n_res - 1))
+    return _params(SarimaParams, (sd * theta[:, 0], *theta[:, 1:].T, sigma), "seasonal AR")
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +480,8 @@ def _paths(rows: np.ndarray, spec: FilterSpec, params) -> FilterOutput:
 def fit_filter(errors, spec: FilterSpec, seed: int = 0):
     """Fit the filter named by ``spec`` to an (n, H) error window.
 
-    Each column is one hour, fitted on its own; AR-GARCH fits search all
-    hours at once (see ``_fit_argarch``).  A one-hour caller passes an (n, 1)
+    Each column is one hour, fitted on its own; both fitted filters search
+    all hours at once (see ``_search``).  A one-hour caller passes an (n, 1)
     window.  Returns ``(params, FilterOutput)``: a list of H params and the
     window's (n, H) paths.  Params are None for the raw filter, which is the
     identity with one-step forecast (0, 1).
@@ -485,7 +490,7 @@ def fit_filter(errors, spec: FilterSpec, seed: int = 0):
     if spec.kind == AR_GARCH:
         params = _fit_argarch(rows, seed)
     elif spec.kind == SARIMA:
-        params = _fit_sarima(rows, spec.seasonal_period)
+        params = _fit_sarima(rows, spec.seasonal_period, seed)
     else:  # the raw filter has no params: None per column
         params = [None] * len(rows)
     # _paths, not filter_output: bench/spans.py counts filter_output's calls as passes

@@ -15,6 +15,7 @@ members are formatted once for both.  The CSV dialect is :mod:`.panel`'s.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import datetime
 from dataclasses import dataclass
@@ -124,9 +125,24 @@ def write_forecast_files(files) -> None:
     step whose sorted columns are bitwise equal (a Schaake setting and its
     independence counterpart reorder the same sorted ensemble) share the
     ``repr`` texts of their members, formatted once.  Only one step's texts
-    are held at a time.
+    are held at a time.  A file that :func:`read_forecasts_csv` would refuse,
+    one with a forecast whose date is not a ``datetime.date``, two forecasts
+    of one date or two member shapes, raises ``ValueError`` before any file
+    is opened.
     """
     queues = [list(forecasts) for forecasts, _ in files]
+    for queue, (_, path) in zip(queues, files):
+        dates = [fc.date for fc in queue]
+        undated = [date for date in dates if type(date) is not datetime.date]
+        repeated = [date for date, count in collections.Counter(dates).items() if count > 1]
+        shapes = sorted({fc.members.shape for fc in queue})
+        if undated:
+            raise ValueError(f"{path}: every forecast needs a datetime.date, got {undated[0]!r}")
+        if repeated:
+            raise ValueError(f"{path}: more than one forecast for {repeated[0]}")
+        if len(shapes) > 1:
+            raise ValueError(f"{path}: forecasts of one file must share one (m, H) member "
+                             f"shape, got {shapes}")
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(open_csv(path)) for _, path in files]
         for fh, queue in zip(outs, queues):

@@ -87,14 +87,16 @@ def quantile(model: MarginModel, p):
     """Generalized inverse CDF of the margin at (k, 1) or (k, H) levels ``p`` in (0, 1).
 
     Levels of shape (k, 1) give the (k, H) quantiles of every hour of an
-    (n, H) empirical margin, and (k, 1) standard normal quantiles.  For the
+    (n, H) empirical margin, and (k, 1) standard normal quantiles; other
+    column counts of an empirical margin raise ``ValueError``.  For the
     empirical margin this is the smallest sample value s with
     #{sample <= s}/n >= p; at p = i/(n+1) it is exactly the i-th order
     statistic.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"levels must be a (k, 1) or (k, H) array, got shape {p.shape}")
+    if p.ndim != 2 or (model.kind == EMPIRICAL and p.shape[1] not in (1, model.sample.shape[1])):
+        raise ValueError(f"levels must be a (k, 1) or (k, H) array, got shape {p.shape}"
+                         + ("" if model.sample is None else f"; H = {model.sample.shape[1]}"))
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile level must lie strictly in (0, 1)")
     if model.kind == GAUSSIAN:

@@ -42,6 +42,16 @@ def reference_nll(eps, params):
     return 0.5 * float(np.sum(np.log(2.0 * math.pi * h) + e * e / h))
 
 
+FITTED = [FilterSpec(AR_GARCH), FilterSpec(SARIMA, seasonal_period=7)]
+
+
+def sarima_residuals(coef, eps, s):
+    """Residuals of the multiplicative seasonal AR at lags 1, s and s+1."""
+    c, phi1, sphi = coef
+    return (eps[s + 1:] - c - phi1 * eps[s:-1] - sphi * eps[1:-s]
+            + phi1 * sphi * eps[:-s - 1])
+
+
 def sarima_series(n, c, phi1, sphi, sigma, s, seed, burn=300):
     rng = rng_for(seed)
     e = rng.standard_normal(n + burn) * sigma
@@ -98,11 +108,13 @@ def test_argarch_standardization_quality():
     assert 0.85 <= out.z.std() <= 1.15
 
 
-def test_argarch_scale_equivariance():
+@pytest.mark.parametrize("spec, tol", [(FilterSpec(AR_GARCH), 1e-3),
+                                       (FilterSpec(SARIMA, seasonal_period=7), 1e-9)])
+def test_fit_scale_equivariance(spec, tol):
     eps = argarch_series(2000, 0.0, 0.4, 0.1, 0.1, 0.8, seed=21)[:, None]
-    _, out1 = fit_filter(eps, FilterSpec(AR_GARCH))
-    _, out2 = fit_filter(1000.0 * eps, FilterSpec(AR_GARCH))
-    assert np.max(np.abs(out1.z - out2.z)) <= 1e-3
+    _, out1 = fit_filter(eps, spec)
+    _, out2 = fit_filter(1000.0 * eps, spec)
+    assert np.max(np.abs(out1.z - out2.z)) <= tol
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,7 +173,8 @@ def test_argarch_refit_is_bit_identical():
     assert out1.one_step == out2.one_step
 
 
-def test_argarch_fails_loudly_without_convergence(monkeypatch):
+@pytest.mark.parametrize("spec", FITTED)
+def test_fit_fails_loudly_without_convergence(spec, monkeypatch):
     calls = []
 
     def unconverged_bfgs(fun, x0, *args):
@@ -170,8 +183,7 @@ def test_argarch_fails_loudly_without_convergence(monkeypatch):
 
     monkeypatch.setattr(filters, "_bfgs", unconverged_bfgs)
     with pytest.raises(FitError, match="did not converge after 5 attempts"):
-        fit_filter(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1)[:, None],
-                   FilterSpec(AR_GARCH))
+        fit_filter(argarch_series(364, 0.0, 0.3, 0.1, 0.1, 0.8, seed=1)[:, None], spec)
     assert len(calls) == 5
 
 
@@ -188,19 +200,19 @@ def test_argarch_fit_emits_no_numeric_warnings():
         fit_filter(3.0 * rng_for(450).standard_normal((364, 12)), FilterSpec(AR_GARCH), seed=12)
 
 
+@pytest.mark.parametrize("spec", FITTED)
 @settings(max_examples=15, deadline=None)
 @given(garch=st.lists(st.booleans(), min_size=1, max_size=6), seed=st.integers(0, 2**16),
        n=st.integers(100, 200), data=st.data())
-def test_argarch_hours_fit_independently(garch, seed, n, data):
+def test_hours_fit_independently(spec, garch, seed, n, data):
     # an hour's estimate and paths must not depend on the hours fitted with it
     columns = [argarch_series(n, 0.1, 0.3, 0.1, 0.1, 0.8, seed=seed + i) if g
                else 2.0 * rng_for(seed + i).standard_normal(n) for i, g in enumerate(garch)]
     order = data.draw(st.permutations(range(len(columns))))
-    params, out = fit_filter(np.column_stack([columns[i] for i in order]),
-                             FilterSpec(AR_GARCH), seed=seed)
+    params, out = fit_filter(np.column_stack([columns[i] for i in order]), spec, seed=seed)
     assert len(params) == len(columns)
     for j, i in enumerate(order):
-        alone, out_alone = fit_filter(columns[i][:, None], FilterSpec(AR_GARCH), seed=seed)
+        alone, out_alone = fit_filter(columns[i][:, None], spec, seed=seed)
         assert params[j] == alone[0]
         for batch, single in ((out.sigma_hat, out_alone.sigma_hat), (out.z, out_alone.z)):
             assert np.array_equal(batch[:, j], single[:, 0])
@@ -217,40 +229,60 @@ def lbfgsb_fit(eps, theta0):
                              options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8})
 
 
-def test_argarch_batch_fit_is_no_worse_than_lbfgsb():
+def argarch_no_worse_than_lbfgsb(rows, spec, params):
     # every hour's NLL is at most that of an L-BFGS-B search from the same
     # start, plus 1e-9 nat/obs
+    theta0 = filters._argarch_start(rows, rows.var(axis=1))
+    for h, p in enumerate(params):
+        res = lbfgsb_fit(rows[h], theta0[h])
+        assert res.success
+        lbfgsb = ArGarchParams(*map(float, filters._argarch_untransform(res.x)))
+        assert reference_nll(rows[h], p) <= reference_nll(rows[h], lbfgsb) + 1e-9 * rows.shape[1]
+
+
+def sarima_no_worse_than_lm(rows, spec, params):
+    # every hour's sum of squared residuals is at most that of a
+    # Levenberg-Marquardt search from (mean, 0, 0), times 1 + 1e-12
+    s = spec.seasonal_period
+    for x, p in zip(rows, params):
+        res = optimize.least_squares(sarima_residuals, [x.mean(), 0.0, 0.0], args=(x, s),
+                                     method="lm")
+        assert res.success
+        r = sarima_residuals([p.c, p.phi1, p.seasonal_phi], x, s)
+        assert r @ r <= (res.fun @ res.fun) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("spec, no_worse", [(FilterSpec(AR_GARCH), argarch_no_worse_than_lbfgsb),
+                                            (FilterSpec(SARIMA, seasonal_period=7),
+                                             sarima_no_worse_than_lm)])
+def test_batch_fit_is_no_worse_than_a_per_hour_search(spec, no_worse):
     for seed in range(4):
         window = argarch_copula_errors(364, 0.6, seed=900 + seed)
-        params, _ = fit_filter(window, FilterSpec(AR_GARCH))
-        rows = np.ascontiguousarray(window.T)
-        theta0 = filters._argarch_start(rows, rows.var(axis=1))
-        for h, p in enumerate(params):
-            res = lbfgsb_fit(rows[h], theta0[h])
-            assert res.success
-            lbfgsb = ArGarchParams(*map(float, filters._argarch_untransform(res.x)))
-            assert reference_nll(rows[h], p) <= reference_nll(rows[h], lbfgsb) + 1e-9 * 364
+        params, _ = fit_filter(window, spec)
+        no_worse(np.ascontiguousarray(window.T), spec, params)
 
 
-def test_argarch_batch_names_failed_hours(monkeypatch):
+@pytest.mark.parametrize("spec", FITTED)
+def test_batch_fit_names_failed_hours(spec, monkeypatch):
     window = argarch_copula_errors(200, 0.6, seed=5)[:, :6]
     window[:, [1, 4]] = 2.0
     with pytest.raises(FitError, match="constant input series for hours 2, 5"):
-        fit_filter(window, FilterSpec(AR_GARCH))
+        fit_filter(window, spec)
 
     window = argarch_copula_errors(200, 0.6, seed=5)[:, :6]
     bfgs = filters._bfgs
-    searched = []
+    searched, first_rows = [], []
 
     def hour_3_unconverged(fun, x0, args, h0):
         searched.append(len(x0))
+        first_rows.append(args)  # the rows of the search of all hours, in hour order
         x, f, converged = bfgs(fun, x0, args, h0)
-        converged &= ~np.all(args == window[:, 2], axis=1)
+        converged &= ~np.all(args == first_rows[0][2], axis=1)
         return x, f, converged
 
     monkeypatch.setattr(filters, "_bfgs", hour_3_unconverged)
     with pytest.raises(FitError, match="did not converge after 5 attempts for hours 3$"):
-        fit_filter(window, FilterSpec(AR_GARCH))
+        fit_filter(window, spec)
     # one search of all hours, then 4 restarts of hour 3 alone
     assert searched == [6, 1, 1, 1, 1]
 

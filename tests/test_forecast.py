@@ -184,9 +184,11 @@ def forecast_file_groups(draw):
     """Lists of forecast lists whose days reorder a few shared member matrices.
 
     Days come from a pool of (date, matrix); each file picks pool days in any
-    order, with repeats, and permutes each column of a day's matrix by its own
-    seed.  Dates repeat across pool days, shapes vary (H = 24 among them), and
-    values tie and mix -0.0 with 0.0.
+    order and permutes each column of a day's matrix by its own seed.  A file
+    skips a pick whose date it holds or whose shape differs from its first
+    day's, as the reader refuses such files.  Dates repeat across pool days
+    and files, shapes vary (H = 24 among them), and values tie and mix -0.0
+    with 0.0.
     """
     shapes = st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 3, 24]))
     pool = draw(st.lists(st.tuples(
@@ -200,6 +202,8 @@ def forecast_file_groups(draw):
         for k, seed in draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
                                                st.integers(0, 2 ** 32 - 1)), max_size=5)):
             date, members = pool[k]
+            if any(fc.date == date or fc.members.shape != members.shape for fc in forecasts):
+                continue
             rng = np.random.default_rng(seed)
             forecasts.append(EnsembleForecast(date, np.column_stack(
                 [rng.permutation(column) for column in members.T])))
@@ -267,6 +271,26 @@ def test_forecast_pair_holds_one_day_of_texts(tmp_path):
     first_day = peak([(pair[0][:1], tmp_path / "a.csv"), (pair[1][:1], tmp_path / "b.csv")])
     assert both <= 1.5 * one
     assert both <= 1.5 * first_day  # the peak does not grow with the number of days
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([EnsembleForecast(None, [[1.0]])], "needs a datetime.date"),
+    ([EnsembleForecast(datetime.datetime(2020, 1, 1), [[1.0]])], "needs a datetime.date"),
+    ([EnsembleForecast(DAY, [[1.0]]), EnsembleForecast(DAY, [[2.0]])],
+     "more than one forecast for 2020-01-01"),
+    ([EnsembleForecast(DAY, [[1.0, 2.0]]), EnsembleForecast(DAY.replace(day=2), [[1.0]])],
+     r"one \(m, H\) member shape, got \[\(1, 1\), \(1, 2\)\]"),
+    ([EnsembleForecast(DAY, [[1.0]]), EnsembleForecast(DAY.replace(day=2), [[1.0], [2.0]])],
+     r"one \(m, H\) member shape"),
+])
+def test_forecast_files_refuse_what_the_reader_refuses(tmp_path, bad, message):
+    good = [EnsembleForecast(DAY, [[1.0]])]
+    files = [(good, tmp_path / "good.csv"), (bad, tmp_path / "bad.csv")]
+    with pytest.raises(ValueError, match=message):
+        write_forecast_files(files)
+    assert list(tmp_path.iterdir()) == []  # refused before any file is opened
+    with pytest.raises(ValueError, match=message):
+        write_forecasts_csv(bad, tmp_path / "bad.csv")
 
 
 def test_read_forecasts_csv_orders_days_and_members(tmp_path):

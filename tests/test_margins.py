@@ -99,3 +99,13 @@ def test_one_hour_is_passed_with_a_trailing_hour_axis():
             quantile(margin, 0.5)
     with pytest.raises(ValueError, match=r"got shape \(20, 1\)"):  # one value per hour
         pit(MarginModel.empirical(np.zeros((5, 24))), sample[:, None])
+
+
+def test_quantile_refuses_levels_of_another_hour_count():
+    margin = MarginModel.empirical(rng_for(6).standard_normal((20, 24)))
+    for levels in (np.full((5, 3), 0.5), np.full((5, 25), 0.5)):
+        with pytest.raises(ValueError, match=r"\(k, 1\) or \(k, H\) array, got shape "
+                                             rf"\(5, {levels.shape[1]}\); H = 24"):
+            quantile(margin, levels)
+    assert quantile(margin, np.full((5, 24), 0.5)).shape == (5, 24)
+    assert quantile(MarginModel.gaussian(), np.full((5, 3), 0.5)).shape == (5, 3)

@@ -29,6 +29,15 @@ def test_only_panel_knows_the_csv_dialect():
         assert sum(text.count(call) for text in sources.values()) == 1
 
 
+def test_no_module_imports_scipy_optimize():
+    # one minimizer: every fitted filter searches through filters._search
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(schaake.__file__).parent.glob("*.py")}
+    importers = sorted(name for name, text in sources.items() if re.search(
+        r"\bscipy\.optimize\b|^\s*from\s+scipy\s+import\s+\(?[\w\s,]*\boptimize\b", text, re.M))
+    assert len(sources) > 5 and importers == []
+
+
 def test_the_scalar_reference_imports_nothing_from_schaake():
     # the oracle of tests/test_reference.py must not call the code it checks
     source = (Path(__file__).resolve().parent / "_reference.py").read_text(encoding="utf-8")
