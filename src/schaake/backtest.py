@@ -17,7 +17,9 @@ Each (setting, day) has one outcome: its forecast, or the reason it was
 skipped, because the setting's filter could not be fitted on the block's
 window or its copula could not be learned from the day's PIT history.  The
 reasons are kept in ``BacktestResult.skipped[setting][date]`` and each is
-warned once.
+warned once.  A setting skipped on every day has no forecasts or scores in
+the result, and so no forecast file.  ``BacktestConfig.groups`` maps each
+(filter spec, margin kind) to the settings that share its fit and ensembles.
 
 A Schaake setting and its independence counterpart reorder the same sorted
 ensembles, and the CRPS sorts each hour's members before scoring them, so
@@ -76,6 +78,7 @@ class BacktestConfig:
     eval_start: datetime.date | None = None
     eval_end: datetime.date | None = None
     refit_every: int = 1
+    groups: dict = field(init=False, repr=False, compare=False)  # (spec, margin) -> settings
 
     def __post_init__(self):
         for key in ("error_window", "margin_window", "dependence_window", "seed",
@@ -85,10 +88,10 @@ class BacktestConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not isinstance(self.settings, (list, tuple)):
             raise ConfigError(f"settings must be a list of setting names, got {self.settings!r}")
-        object.__setattr__(self, "settings", tuple(self.settings))
         for name in (*self.settings, *self.filter_overrides):
             if not isinstance(name, str) or name not in SETTING_TABLE:
                 raise ConfigError(f"unknown setting {name!r}; known: {sorted(SETTING_TABLE)}")
+        object.__setattr__(self, "settings", tuple(dict.fromkeys(self.settings)))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.dependence_window < 2:
@@ -101,11 +104,13 @@ class BacktestConfig:
             raise ConfigError("error_window must cover the margin and dependence windows")
         if None not in (self.eval_start, self.eval_end) and self.eval_start > self.eval_end:
             raise ConfigError(f"eval_start {self.eval_start} is after eval_end {self.eval_end}")
+        groups: dict = {}
+        for name in self.settings:
+            groups.setdefault((self.filter_spec(name), SETTING_TABLE[name][1]), []).append(name)
+        object.__setattr__(self, "groups", groups)
 
     def filter_spec(self, setting: str) -> filters.FilterSpec:
-        if setting in self.filter_overrides:
-            return self.filter_overrides[setting]
-        return filters.FilterSpec(kind=SETTING_TABLE[setting][0])
+        return self.filter_overrides.get(setting) or filters.FilterSpec(SETTING_TABLE[setting][0])
 
     @property
     def m(self) -> int:
@@ -157,9 +162,10 @@ class BacktestConfig:
 
 @dataclass
 class BacktestResult:
-    dates: tuple
+    """A run's outcomes: a setting is in ``forecasts`` and ``scores`` only if it forecast a day."""
+
     m: int
-    forecasts: dict          # setting -> list[EnsembleForecast]
+    forecasts: dict          # setting -> non-empty list[EnsembleForecast]
     scores: dict             # setting -> ScorePanel
     skipped: dict            # setting -> {skipped date: reason}
 
@@ -236,15 +242,6 @@ class BacktestResult:
 # Per-day computation
 # ---------------------------------------------------------------------------
 
-def _margin_groups(cfg: BacktestConfig):
-    """Group active settings by (filter spec, margin kind)."""
-    groups: dict = {}
-    for name in cfg.settings:
-        key = (cfg.filter_spec(name), SETTING_TABLE[name][1])
-        groups.setdefault(key, []).append(name)
-    return groups
-
-
 def _fit_block_filters(errors, dates, t0: int, cfg: BacktestConfig):
     """Fit every needed filter spec on the error window before block day t0.
 
@@ -253,7 +250,7 @@ def _fit_block_filters(errors, dates, t0: int, cfg: BacktestConfig):
     """
     fitted = {}
     start = t0 - cfg.error_window
-    for spec in dict.fromkeys(key[0] for key in _margin_groups(cfg)):
+    for spec in dict.fromkeys(spec for spec, _ in cfg.groups):
         if spec.kind == filters.RAW:
             fitted[spec] = [None] * N_HOURS
             continue
@@ -276,10 +273,9 @@ def _forecast_one_day(errors, fc_values, t: int, date, cfg: BacktestConfig, fitt
     window = errors[t - cfg.error_window:t]
     paths = {spec: filters.filter_output(window, spec, params)
              for spec, params in fitted.items() if not isinstance(params, str)}
-    groups = _margin_groups(cfg)
-    results = {name: fitted[spec] for (spec, _), names in groups.items() for name in names
+    results = {name: fitted[spec] for (spec, _), names in cfg.groups.items() for name in names
                if spec not in paths}
-    for (spec, margin_kind), names in groups.items():
+    for (spec, margin_kind), names in cfg.groups.items():
         if spec not in paths:
             continue
         z, one_step = paths[spec].z, paths[spec].one_step
@@ -377,9 +373,10 @@ def run_backtest(real: HourlyPanel, fc: HourlyPanel, cfg: BacktestConfig,
     for reason in reasons:
         warnings.warn(reason, stacklevel=2)
 
-    scores = {name: scoring.score_forecasts(fcs, real) for name, fcs in forecasts.items() if fcs}
-    return BacktestResult(dates=tuple(dates[t] for t in eval_idx), m=cfg.m,
-                          forecasts=forecasts, scores=scores,
+    forecasts = {name: fcs for name, fcs in forecasts.items() if fcs}
+    return BacktestResult(m=cfg.m, forecasts=forecasts,
+                          scores={name: scoring.score_forecasts(fcs, real)
+                                  for name, fcs in forecasts.items()},
                           skipped={k: v for k, v in skipped.items() if v})
 
 

@@ -5,7 +5,7 @@ worked example), ``evaluate`` (rescore existing ensemble forecast CSVs),
 ``shuffle`` (one-shot reordering of an ensemble CSV by a rank-matrix CSV) and
 ``slp`` (load-profile interval coverage report).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import backtest as bt
-from . import copula, filters, forecast, loadprofile, scoring
+from . import copula, forecast, loadprofile, scoring
 from .panel import (PanelError, hour_names, load_panel, read_matrix_csv, write_number_rows,
                     write_rows)
 
@@ -96,9 +96,10 @@ def _cmd_backtest(args) -> int:
     fc = load_panel(args.forecast, role="forecast")
     result = bt.run_backtest(real, fc, cfg, jobs=args.jobs)
     result.write_outputs(args.out_dir, jobs=args.jobs)
-    for name, panel in result.scores.items():
-        print(f"{name}: mean ES {panel.mean_es:.4f}, mean CRPS {panel.mean_crps:.4f} "
-              f"({len(panel.dates)} days)")
+    for name in cfg.settings:
+        panel = result.scores.get(name)
+        print(f"{name}: skipped on every day" if panel is None else f"{name}: mean ES "
+              f"{panel.mean_es:.4f}, mean CRPS {panel.mean_crps:.4f} ({len(panel.dates)} days)")
     return 0
 
 
@@ -132,8 +133,7 @@ def _cmd_evaluate(args) -> int:
             scores[_setting_label(path)] = scoring.score_forecasts(fcs, real)
         except PanelError as exc:
             raise PanelError(f"{path}: {exc}") from None
-    dates = tuple(sorted(set().union(*(panel.dates for panel in scores.values()))))
-    result = bt.BacktestResult(dates=dates, m=m, forecasts={}, scores=scores, skipped={})
+    result = bt.BacktestResult(m=m, forecasts={}, scores=scores, skipped={})
     # reuse the backtest writers, minus the (unmodified) forecast CSVs; DM tests
     # pair each two files on the dates both cover
     result.write_outputs(args.out_dir)
@@ -196,9 +196,6 @@ def main(argv=None) -> int:
     except (PanelError, copula.CopulaError, bt.ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"schaake: data error: {exc}", file=sys.stderr)
         return 2
-    except (filters.FitError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"schaake: numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

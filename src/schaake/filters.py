@@ -3,13 +3,14 @@
 Three filters are available: a raw pass-through, an AR(1)-GARCH(1,1)
 estimated by Gaussian quasi-maximum likelihood, and a seasonal AR model
 (one regular and one seasonal AR coefficient, homoskedastic residuals)
-estimated by conditional least squares.  ``fit_filter`` fits an (n, H)
-error window of H hours, each column on its own, and ``filter_output``
-recomputes the paths of a window for given params; a one-hour caller passes
-an (n, 1) window.  Both yield the (n, H) conditional standard deviation
-paths over the learning window, the (n, H) standardized residuals, and a
-one-step-ahead (mu, sigma) forecast for the target day, two (H,) arrays.
-One function computes these paths for all three filters.
+estimated by conditional least squares.  A ``FilterSpec`` names one model:
+its kind, and the period of the seasonal AR only.  ``fit_filter`` fits an
+(n, H) error window of H hours, each column on its own, and
+``filter_output`` recomputes the paths of a window for given params; a
+one-hour caller passes an (n, 1) window.  Both yield, by one function for
+all three filters, the (n, H) conditional standard deviation paths over the
+learning window, the (n, H) standardized residuals, and a one-step-ahead
+(mu, sigma) forecast for the target day, two (H,) arrays.
 
 Both fitted filters minimize their objective, with its analytic gradient,
 by one BFGS search over all H hours at once; every hour keeps its own search
@@ -17,7 +18,7 @@ state and sees only its own column, so its estimate does not depend on the
 hours that share its window.  An hour whose search does not converge is
 searched again from its best point plus a seeded jitter, up to 4 times; a
 fit with an hour whose 5 searches all fail raises ``FitError``, and the
-backtest skips that day.
+backtest skips the setting's days of that block.
 """
 from __future__ import annotations
 
@@ -51,14 +52,18 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FilterSpec:
+    """A filter kind and the seasonal AR's period (default 7); None for the other kinds."""
+
     kind: str = RAW
-    seasonal_period: int = 7
+    seasonal_period: int | None = None
 
     def __post_init__(self):
         if self.kind not in (RAW, AR_GARCH, SARIMA):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.kind == SARIMA and not (isinstance(self.seasonal_period, numbers.Integral)
-                                        and self.seasonal_period >= 2):
+        if self.kind != SARIMA or self.seasonal_period is None:
+            object.__setattr__(self, "seasonal_period", 7 if self.kind == SARIMA else None)
+        elif not (isinstance(self.seasonal_period, numbers.Integral)
+                  and self.seasonal_period >= 2):
             raise ValueError(f"seasonal_period must be an integer >= 2, "
                              f"got {self.seasonal_period!r}")
 

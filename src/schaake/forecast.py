@@ -24,8 +24,8 @@ import numpy as np
 
 from .copula import CopulaError, is_rank_matrix, random_rank_matrix
 from .margins import MarginModel, quantile
-from .panel import (N_HOURS, bulk_days, first_fault, hour_names, open_csv, read_checked,
-                    repeats, write_text_rows)
+from .panel import (bulk_days, first_fault, hour_names, open_csv, read_checked, repeats,
+                    write_text_rows)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def independence_forecast(members, seed: int, date=None) -> EnsembleForecast:
 
 
 def write_forecasts_csv(forecasts, path) -> None:
-    """Serialize forecasts to CSV with columns ``date,member,h1..hH`` (H = 24 if none)."""
+    """Serialize forecasts to CSV with columns ``date,member,h1..hH``."""
     write_forecast_files([(forecasts, path)])
 
 
@@ -126,12 +126,14 @@ def write_forecast_files(files) -> None:
     independence counterpart reorder the same sorted ensemble) share the
     ``repr`` texts of their members, formatted once.  Only one step's texts
     are held at a time.  A file that :func:`read_forecasts_csv` would refuse,
-    one with a forecast whose date is not a ``datetime.date``, two forecasts
-    of one date or two member shapes, raises ``ValueError`` before any file
-    is opened.
+    one with no forecast, a forecast whose date is not a ``datetime.date``,
+    two forecasts of one date or two member shapes, raises ``ValueError``
+    before any file is opened.
     """
     queues = [list(forecasts) for forecasts, _ in files]
     for queue, (_, path) in zip(queues, files):
+        if not queue:
+            raise ValueError(f"{path}: no forecasts")
         dates = [fc.date for fc in queue]
         undated = [date for date in dates if type(date) is not datetime.date]
         repeated = [date for date, count in collections.Counter(dates).items() if count > 1]
@@ -146,8 +148,7 @@ def write_forecast_files(files) -> None:
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(open_csv(path)) for _, path in files]
         for fh, queue in zip(outs, queues):
-            n_hours = queue[0].members.shape[1] if queue else N_HOURS
-            write_text_rows(fh, [["date", "member", *hour_names(n_hours)]])
+            write_text_rows(fh, [["date", "member", *hour_names(queue[0].members.shape[1])]])
         heads = [0] * len(queues)
         while True:
             step = [(k, queue[heads[k]]) for k, queue in enumerate(queues)

@@ -85,6 +85,38 @@ def filter_hour(x, spec, p):
     return [(x[t] - mu[t]) / p.sigma for t in range(n)], mean[-1], p.sigma
 
 
+def argarch_nll(x, p):
+    """Gaussian NLL of one hour's window ``x`` under AR-GARCH params ``p``, and its gradient.
+
+    The NLL is the package's: 0.5 * sum of log 2 pi + log h_t + e_t^2 / h_t
+    over the paths of :func:`filter_hour`.  The gradient is in the natural
+    parameters (c, phi, omega, alpha, beta), by forward sensitivities: the
+    derivatives of e_t and h_t are carried through the recursions with them,
+    h_0's through the sample variance.
+    """
+    n = len(x)
+    e = [x[0] - p.c / (1.0 - p.phi)] + [x[t] - p.c - p.phi * x[t - 1] for t in range(1, n)]
+    de = ([(-1.0 / (1.0 - p.phi), -p.c / (1.0 - p.phi) ** 2, 0.0, 0.0, 0.0)]
+          + [(-1.0, -x[t - 1], 0.0, 0.0, 0.0) for t in range(1, n)])
+    h = pairwise_sum([v * v for v in e]) / n
+    dh = [2.0 * math.fsum(e[t] * de[t][k] for t in range(n)) / n for k in range(5)]
+    if not h > 0.0:
+        h, dh = 1e-12, [0.0] * 5
+    terms, grad = [], [[] for _ in range(5)]
+    for t in range(n):
+        u = e[t] * e[t] / h
+        terms.append(math.log(h) + u)
+        for k in range(5):
+            grad[k].append(0.5 * ((1.0 - u) / h * dh[k] + 2.0 * e[t] / h * de[t][k]))
+        # h_{t+1} = omega + alpha e_t^2 + beta h_t
+        dh = [2.0 * p.alpha * e[t] * de[t][k] + p.beta * dh[k] for k in range(5)]
+        dh[2] += 1.0
+        dh[3] += e[t] * e[t]
+        dh[4] += h
+        h = (p.alpha * (e[t] * e[t]) + p.omega) + p.beta * h
+    return 0.5 * (n * math.log(2.0 * math.pi) + math.fsum(terms)), [math.fsum(g) for g in grad]
+
+
 def pit_hour(margin, sample, values):
     """PITs of ``values``: rank/(n+1) in the sorted ``sample``, or the clipped normal CDF."""
     if margin == "gaussian":

@@ -10,6 +10,7 @@ import pytest
 
 from _simulate import equicorrelated_normals, iid_error_panels, panels_from_errors
 from test_copula import BAD_MATRIX_FILES
+from test_filters import explosive_window
 from schaake import backtest, cli
 from schaake.backtest import (
     BacktestConfig,
@@ -18,8 +19,8 @@ from schaake.backtest import (
     run_backtest,
     run_toy_example,
 )
-from schaake.filters import SARIMA, FilterSpec
-from schaake.forecast import EnsembleForecast, write_forecasts_csv
+from schaake.filters import AR_GARCH, RAW, SARIMA, FilterSpec
+from schaake.forecast import EnsembleForecast, read_forecasts_csv, write_forecasts_csv
 from schaake.panel import HourlyPanel, load_panel, save_panel
 from schaake.scoring import dm_test
 
@@ -67,6 +68,45 @@ def test_config_validation():
         BacktestConfig(refit_every=0)
     with pytest.raises(ConfigError, match="margin"):
         BacktestConfig(error_window=50, margin_window=90)
+    # a setting named twice runs once
+    assert BacktestConfig(settings=["I-Raw", "I-NP", "I-Raw"]).settings == ("I-Raw", "I-NP")
+    for windows in ({"margin_window": 0}, {"error_window": 0}):
+        with pytest.raises(ConfigError, match="window lengths must be positive"):
+            BacktestConfig(**windows)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"error_window"', "null"])
+def test_config_must_be_a_json_object(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: a config must be a "
+                                          "JSON object$"):
+        BacktestConfig.from_json(path)
+
+
+def test_config_groups_settings_once_by_model(monkeypatch):
+    # AR-GARCH has no seasonal period, so Schaake-NP's override is the default
+    # model: three groups, and one AR-GARCH fit per block
+    real, fc = iid_error_panels(126, rho=0.5, seed=20)
+    windows = {"error_window": 120, "margin_window": 40, "dependence_window": 40,
+               "refit_every": 3}
+    cfg = BacktestConfig.from_json({
+        **windows, "filters": {"Schaake-NP": {"kind": "argarch", "seasonal_period": 5}}})
+    assert cfg.groups == {
+        (FilterSpec(AR_GARCH), "empirical"): ["Schaake-NP", "I-NP"],
+        (FilterSpec(AR_GARCH), "gaussian"): ["Schaake-P", "I-P"],
+        (FilterSpec(RAW), "empirical"): ["Schaake-Raw", "I-Raw"]}
+    fits = []
+    fit_filter = backtest.filters.fit_filter
+    monkeypatch.setattr(backtest.filters, "fit_filter",
+                        lambda *args, **kwargs: fits.append(args[1]) or fit_filter(*args, **kwargs))
+    result = run_backtest(real, fc, cfg)
+    assert fits == [FilterSpec(AR_GARCH)] * 2  # 6 evaluation days in blocks of 3
+    default = run_backtest(real, fc, BacktestConfig.from_json(windows))
+    assert list(result.forecasts) == list(default.forecasts) == list(cfg.settings)
+    for name in cfg.settings:
+        assert [f.members.tobytes() for f in result.forecasts[name]] == \
+            [f.members.tobytes() for f in default.forecasts[name]]
 
 
 def test_config_from_json(tmp_path):
@@ -91,8 +131,8 @@ def test_backtest_shapes_single_day():
     real, fc = iid_error_panels(121, rho=0.5, seed=1)
     cfg = small_config(settings=("Schaake-Raw", "I-Raw"), seed=4)
     result = run_backtest(real, fc, cfg)
-    assert result.dates == (real.dates[-1],)
     for name in cfg.settings:
+        assert result.scores[name].dates == (real.dates[-1],)
         members = result.forecasts[name][0].members
         assert members.shape == (40, 24)
         assert result.scores[name].ranks.shape == (1, 24)
@@ -251,18 +291,21 @@ def test_cli_backtest_writes_setting_whose_every_day_was_skipped(panel_csvs, tmp
                        "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
                        "--out-dir", str(out_dir), "--settings", "Schaake-NP,Schaake-Raw"])
     assert rc == 0
-    header = "date,member," + ",".join(f"h{h}" for h in range(1, 25)) + "\r\n"
-    assert (out_dir / "forecasts_Schaake-NP.csv").read_bytes() == header.encode()
+    # the skipped setting gets no forecast file, and its summary line says why
+    assert not (out_dir / "forecasts_Schaake-NP.csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Schaake-NP: skipped on every day"
+    assert lines[1].startswith("Schaake-Raw: mean ES ") and len(lines) == 2
     assert len(_rows(out_dir / "skipped_days.csv")) == 6
     assert {row[1] for row in _rows(out_dir / "scores.csv")} == {"Schaake-Raw"}
-    capsys.readouterr()
-    # the header-only file is refused by name
-    empty = out_dir / "forecasts_Schaake-NP.csv"
+    # every forecast file in the out-dir is readable by evaluate and slp
+    written = sorted(str(path) for path in out_dir.glob("forecasts_*.csv"))
+    assert written == [str(out_dir / "forecasts_Schaake-Raw.csv")]
     for command in (["slp"], ["evaluate", "--out-dir", str(tmp_path / "eval")]):
         rc = cli.main(command + ["--real", str(panel_csvs / "real.csv"),
-                                 "--forecasts", str(empty)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"schaake: data error: {empty}: no forecasts\n"
+                                 *(arg for path in written for arg in ("--forecasts", path))])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("drop_from, match", [
@@ -478,7 +521,8 @@ PAIRS = [{"forecasts_Schaake-NP.csv", "forecasts_I-NP.csv"},
 def test_write_outputs_writes_one_task_per_pair(monkeypatch, tmp_path, settings, files):
     calls = []
     monkeypatch.setattr(backtest, "_map", lambda fn, tasks, jobs: calls.append((fn, tasks)))
-    backtest.BacktestResult(dates=(), m=3, forecasts={s: [] for s in settings}, scores={},
+    day = [EnsembleForecast(datetime.date(2020, 1, 1), np.zeros((3, 24)))]
+    backtest.BacktestResult(m=3, forecasts={s: day for s in settings}, scores={},
                             skipped={}).write_outputs(tmp_path, jobs=2)
     [(fn, tasks)] = calls
     assert fn is backtest.forecast.write_forecast_files
@@ -491,12 +535,12 @@ def test_backtest_formats_each_pair_day_once(monkeypatch, tmp_path):
     cfg = small_config(refit_every=6, filter_overrides={
         s: seasonal for s in ("Schaake-NP", "Schaake-P", "I-NP", "I-P")})
     result = run_backtest(real, fc, cfg)
-    assert result.skipped == {} and len(result.dates) == 6
+    assert result.skipped == {} and len(result.scores["Schaake-NP"].dates) == 6
     cells = []
     monkeypatch.setattr(backtest.forecast, "repr", lambda v: cells.append(v) or repr(v),
                         raising=False)
     result.write_outputs(tmp_path)
-    assert len(cells) == 3 * cfg.m * 24 * len(result.dates)
+    assert len(cells) == 3 * cfg.m * 24 * len(result.scores["Schaake-NP"].dates)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "slp"])
@@ -669,12 +713,42 @@ def test_fit_failure_names_block_dates_and_hours():
     assert "Schaake-NP" not in result.scores
 
 
+def test_explosive_hour_skips_its_seasonal_ar_days():
+    # hour 2 of the 200-day window before each block is x_t = 1.02 x_{t-1} + e_t
+    errors = equicorrelated_normals(204, 0.5, 4)
+    errors[:, 1] = explosive_window(204)[:, 1]
+    real, fc = panels_from_errors(errors)
+    cfg = small_config(error_window=200, settings=("Schaake-NP", "Schaake-Raw"), refit_every=2,
+                       filter_overrides={"Schaake-NP": FilterSpec(SARIMA)})
+    with pytest.warns(UserWarning) as record:
+        result = run_backtest(real, fc, cfg)
+    reasons = [f"sarima fit failed for the block starting {real.dates[t]} (window "
+               f"{real.dates[t - 200]} to {real.dates[t - 1]}): seasonal AR estimate outside "
+               "parameter space for hours 2: require |phi1| < 1 and |seasonal_phi| < 1"
+               for t in (200, 202)]
+    assert [str(w.message) for w in record] == reasons
+    assert result.skipped == {"Schaake-NP": {real.dates[t]: reasons[(t - 200) // 2]
+                                             for t in range(200, 204)}}
+    assert list(result.forecasts) == list(result.scores) == ["Schaake-Raw"]
+
+
 def test_cli_toy_example(capsys):
     assert cli.main(["toy-example"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "draw,h1,h2,h3,h4"
     assert out[1] == "1,6.1,31.6,27.2,36.5"
     assert len(out) == 8
+
+
+def test_cli_toy_example_writes_the_members_it_prints(tmp_path, capsys):
+    path = tmp_path / "toy.csv"
+    assert cli.main(["toy-example", "--out", str(path)]) == 0
+    printed = [[float(v) for v in line.split(",")[1:]]
+               for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    [written] = read_forecasts_csv(path)
+    assert written.date == datetime.date(2020, 1, 1)
+    assert written.members.tolist() == printed
+    assert np.array_equal(written.members, run_toy_example().members)
 
 
 def test_cli_shuffle_roundtrip(tmp_path, capsys):

@@ -11,6 +11,7 @@ from schaake.backtest import TOY_RANK_MATRIX
 from schaake.copula import (
     CopulaError,
     _nearest_correlation,
+    check_correlation_matrix,
     empirical_rank_matrix,
     fit_gaussian_copula,
     is_rank_matrix,
@@ -165,3 +166,25 @@ def test_rank_matrix_csv_rejects_bad_columns(tmp_path):
     path.write_text("h1,h2\n1,1\n1,2\n")
     with pytest.raises(CopulaError, match="permutations"):
         read_rank_matrix_csv(path)
+
+
+@pytest.mark.parametrize("sigma, match", [
+    (np.ones((2, 3)), "square"),
+    ([[1.0, 0.5], [0.4, 1.0]], "symmetric"),
+    ([[2.0, 0.5], [0.5, 1.0]], "unit diagonal"),
+    ([[1.0, 1.5], [1.5, 1.0]], r"lie in \[-1, 1\]"),
+])
+def test_check_correlation_matrix_refuses(sigma, match):
+    with pytest.raises(CopulaError, match=match):
+        check_correlation_matrix(sigma)
+
+
+def test_sample_gaussian_rank_matrix_refuses_what_it_cannot_sample():
+    with pytest.raises(CopulaError, match="m >= 2"):
+        sample_gaussian_rank_matrix(np.eye(3), 1, seed=1)
+    # a valid-looking correlation matrix with a negative eigenvalue: Cholesky
+    # fails and the eigen square root refuses it
+    sigma = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    assert np.linalg.eigvalsh(sigma).min() < -1e-8
+    with pytest.raises(CopulaError, match="not positive semi-definite"):
+        sample_gaussian_rank_matrix(sigma, 10, seed=1)

@@ -390,3 +390,45 @@ def test_filter_spec_validation():
         FilterSpec("arma")
     with pytest.raises(ValueError):
         FilterSpec(SARIMA, seasonal_period=1)
+
+
+def test_filter_specs_are_equal_when_they_fit_one_model():
+    # only the seasonal AR has a period; the other kinds drop one given to them
+    for kind in (RAW, AR_GARCH):
+        assert FilterSpec(kind, seasonal_period=5) == FilterSpec(kind)
+        assert FilterSpec(kind, seasonal_period=5).seasonal_period is None
+    assert FilterSpec(SARIMA) == FilterSpec(SARIMA, seasonal_period=7)
+    assert FilterSpec(SARIMA, seasonal_period=None).seasonal_period == 7
+    assert FilterSpec(SARIMA, seasonal_period=5) != FilterSpec(SARIMA)
+
+
+@pytest.mark.parametrize("cls, values, match", [
+    (ArGarchParams, (0.0, 0.3, 0.0, 0.1, 0.8), "omega > 0"),
+    (ArGarchParams, (0.0, 0.3, 0.1, -0.1, 0.8), "alpha >= 0"),
+    (ArGarchParams, (0.0, 0.3, 0.1, 0.1, -0.8), "beta >= 0"),
+    (ArGarchParams, (0.0, 0.3, 0.1, 0.3, 0.7), "alpha \\+ beta < 1"),
+    (ArGarchParams, (0.0, 1.0, 0.1, 0.1, 0.8), r"\|phi\| < 1"),
+    (SarimaParams, (0.0, 1.0, 0.2, 1.0), r"\|phi1\| < 1"),
+    (SarimaParams, (0.0, 0.2, -1.0, 1.0), r"\|seasonal_phi\| < 1"),
+    (SarimaParams, (0.0, 0.2, 0.2, 0.0), "sigma > 0"),
+])
+def test_params_refuse_values_outside_the_parameter_space(cls, values, match):
+    with pytest.raises(ValueError, match=match):
+        cls(*values)
+
+
+def explosive_window(n, seed=0):
+    """A 3-hour window whose hour 2 is x_t = 1.02 x_{t-1} + e_t."""
+    e = rng_for(seed).standard_normal(n)
+    x = np.zeros(n)
+    for t in range(1, n):
+        x[t] = 1.02 * x[t - 1] + e[t]
+    window = equicorrelated_normals(n, 0.5, 4, n_hours=3)
+    window[:, 1] = x
+    return window
+
+
+def test_sarima_refuses_an_explosive_estimate():
+    with pytest.raises(FitError, match=r"^seasonal AR estimate outside parameter space for "
+                                       r"hours 2: require \|phi1\| < 1 and \|seasonal_phi\| < 1$"):
+        fit_filter(explosive_window(200), FilterSpec(SARIMA))

@@ -167,7 +167,7 @@ def test_forecast_csv_roundtrip(tmp_path):
 
 def reference_bytes(forecasts) -> bytes:
     """A forecasts file as one join of ``repr`` texts per row, the writer's reference."""
-    n_hours = forecasts[0].members.shape[1] if forecasts else 24
+    n_hours = forecasts[0].members.shape[1]
     lines = [",".join(["date", "member"] + [f"h{h}" for h in range(1, n_hours + 1)])]
     for fc in forecasts:
         lines += [fc.date.isoformat() + "," + ",".join(map(repr, [i, *row]))
@@ -183,12 +183,12 @@ MEMBER_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 5e-324, 1e300]) | st
 def forecast_file_groups(draw):
     """Lists of forecast lists whose days reorder a few shared member matrices.
 
-    Days come from a pool of (date, matrix); each file picks pool days in any
-    order and permutes each column of a day's matrix by its own seed.  A file
-    skips a pick whose date it holds or whose shape differs from its first
-    day's, as the reader refuses such files.  Dates repeat across pool days
-    and files, shapes vary (H = 24 among them), and values tie and mix -0.0
-    with 0.0.
+    Days come from a pool of (date, matrix); each file picks at least one pool
+    day, in any order, and permutes each column of a day's matrix by its own
+    seed.  A file skips a pick whose date it holds or whose shape differs from
+    its first day's, as the reader refuses such files and files without
+    forecasts.  Dates repeat across pool days and files, shapes vary (H = 24
+    among them), and values tie and mix -0.0 with 0.0.
     """
     shapes = st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 3, 24]))
     pool = draw(st.lists(st.tuples(
@@ -200,7 +200,8 @@ def forecast_file_groups(draw):
     for _ in range(draw(st.integers(0, 3))):
         forecasts = []
         for k, seed in draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
-                                               st.integers(0, 2 ** 32 - 1)), max_size=5)):
+                                               st.integers(0, 2 ** 32 - 1)),
+                                     min_size=1, max_size=5)):
             date, members = pool[k]
             if any(fc.date == date or fc.members.shape != members.shape for fc in forecasts):
                 continue
@@ -282,6 +283,7 @@ def test_forecast_pair_holds_one_day_of_texts(tmp_path):
      r"one \(m, H\) member shape, got \[\(1, 1\), \(1, 2\)\]"),
     ([EnsembleForecast(DAY, [[1.0]]), EnsembleForecast(DAY.replace(day=2), [[1.0], [2.0]])],
      r"one \(m, H\) member shape"),
+    ([], "bad.csv: no forecasts"),
 ])
 def test_forecast_files_refuse_what_the_reader_refuses(tmp_path, bad, message):
     good = [EnsembleForecast(DAY, [[1.0]])]
@@ -358,3 +360,18 @@ def test_read_forecasts_csv_rejects_malformed_rows(tmp_path, lines, match):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(PanelError, match=r"fc\.csv" + match):
         read_forecasts_csv(path)
+
+
+@pytest.mark.parametrize("members, match", [
+    ([1.0, 2.0], "must be an m x H matrix"),
+    ([[1.0, np.inf]], "must be finite"),
+    ([[1.0, np.nan]], "must be finite"),
+])
+def test_ensemble_forecast_refuses_bad_members(members, match):
+    with pytest.raises(ValueError, match=match):
+        EnsembleForecast(DAY, members)
+
+
+def test_shuffle_refuses_unsorted_members():
+    with pytest.raises(ValueError, match="sorted ascending"):
+        shuffle(TOY_ENSEMBLES[::-1], TOY_RANK_MATRIX)

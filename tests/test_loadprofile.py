@@ -147,3 +147,8 @@ def test_profile_validation():
         LoadProfile(np.zeros(24))
     with pytest.raises(ValueError):
         daily_price(np.zeros(23), default_profile())
+    with pytest.raises(ValueError, match="non-empty vector"):
+        LoadProfile(np.array([]))
+    day = EnsembleForecast(datetime.date(2020, 1, 1), np.zeros((3, 23)))
+    with pytest.raises(ValueError, match="forecast must cover 24 hours"):
+        scenario_daily_prices(day, default_profile())

@@ -77,6 +77,8 @@ def test_tied_sample_values_share_lower_rank():
 def test_margin_model_validation():
     with pytest.raises(ValueError):
         MarginModel("weird")
+    with pytest.raises(ValueError, match="empirical margin requires a sample"):
+        MarginModel("empirical")
     with pytest.raises(ValueError):
         MarginModel.empirical(np.empty((0, 1)))
     with pytest.raises(ValueError):

@@ -86,6 +86,30 @@ def test_incomplete_day_dropped_with_warning(tmp_path):
     assert len(panel.dates) == 1
 
 
+def test_file_without_a_complete_day_is_refused(tmp_path):
+    path = tmp_path / "gap.csv"
+    write_csv(path, [("2020-01-02", h, 1.0) for h in range(1, 24)])
+    with pytest.warns(UserWarning, match="missing hours"), \
+            pytest.raises(PanelError, match=r"gap\.csv: no complete 24-hour days$"):
+        load_panel(path)
+
+
+ONE_DAY = (datetime.date(2020, 1, 1),)
+
+
+@pytest.mark.parametrize("dates, values, match", [
+    (ONE_DAY, np.zeros((1, 23)), r"T x 24, got shape \(1, 23\)"),
+    (ONE_DAY, np.zeros(24), r"T x 24, got shape \(24,\)"),
+    ((), np.zeros((0, 24)), "number of dates must match number of rows and be >= 1"),
+    (ONE_DAY, np.zeros((2, 24)), "number of dates must match number of rows"),
+    (ONE_DAY, np.full((1, 24), np.inf), "non-finite"),
+    (ONE_DAY, np.full((1, 24), np.nan), "non-finite"),
+])
+def test_hourly_panel_refuses_bad_values(dates, values, match):
+    with pytest.raises(PanelError, match=match):
+        HourlyPanel(dates, values)
+
+
 def test_non_finite_value_rejected(tmp_path):
     path = tmp_path / "nan.csv"
     rows = full_day("2020-01-01", 10.0)

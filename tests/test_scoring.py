@@ -288,3 +288,24 @@ def test_score_forecasts_ranks_each_forecast():
     assert panel.ranks.shape == (3, 24)
     for row, fc, i in zip(panel.ranks, forecasts, days):
         assert np.array_equal(row, verification_rank(fc.members, real.values[i]))
+
+
+@pytest.mark.parametrize("build, match", [
+    # ScorePanel: one ES per date, one CRPS row per date, nonnegative scores
+    (lambda: ScorePanel(("a", "b"), np.ones(3), np.ones((2, 3)), np.ones((2, 3))),
+     "one row per date"),
+    (lambda: ScorePanel(("a", "b"), np.ones(2), np.ones((3, 3)), np.ones((3, 3))),
+     "one row per date"),
+    (lambda: ScorePanel(("a",), -np.ones(1), np.ones((1, 3)), np.ones((1, 3))),
+     "nonnegative"),
+    (lambda: ScorePanel(("a",), np.ones(1), -np.ones((1, 3)), np.ones((1, 3))),
+     "nonnegative"),
+    (lambda: dm_test(np.ones(3), np.ones(4)), "equal-length vectors"),
+    (lambda: dm_test(np.ones((3, 2)), np.ones((3, 2))), "equal-length vectors"),
+    (lambda: interval_coverage(np.zeros(30), np.zeros(1), 0.9), r"\(T, m\) samples"),
+    (lambda: interval_coverage(np.zeros((2, 30)), np.zeros(3), 0.9), r"\(T, m\) samples"),
+    (lambda: uniformity_check(np.zeros(5, dtype=int)), "empty histogram"),
+])
+def test_scoring_refuses_bad_shapes_and_scores(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
