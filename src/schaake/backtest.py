@@ -88,9 +88,16 @@ class BacktestConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not isinstance(self.settings, (list, tuple)):
             raise ConfigError(f"settings must be a list of setting names, got {self.settings!r}")
+        if not (isinstance(self.filter_overrides, dict) and all(
+                isinstance(spec, filters.FilterSpec) for spec in self.filter_overrides.values())):
+            raise ConfigError(f"filter_overrides must map setting names to FilterSpecs, "
+                              f"got {self.filter_overrides!r}")
         for name in (*self.settings, *self.filter_overrides):
             if not isinstance(name, str) or name not in SETTING_TABLE:
                 raise ConfigError(f"unknown setting {name!r}; known: {sorted(SETTING_TABLE)}")
+        for key in ("eval_start", "eval_end"):
+            if type(getattr(self, key)) not in (type(None), datetime.date):  # nor a datetime
+                raise ConfigError(f"{key} must be a datetime.date, got {getattr(self, key)!r}")
         object.__setattr__(self, "settings", tuple(dict.fromkeys(self.settings)))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -110,7 +117,7 @@ class BacktestConfig:
         object.__setattr__(self, "groups", groups)
 
     def filter_spec(self, setting: str) -> filters.FilterSpec:
-        return self.filter_overrides.get(setting) or filters.FilterSpec(SETTING_TABLE[setting][0])
+        return self.filter_overrides.get(setting, filters.FilterSpec(SETTING_TABLE[setting][0]))
 
     @property
     def m(self) -> int:

@@ -18,7 +18,8 @@ state and sees only its own column, so its estimate does not depend on the
 hours that share its window.  An hour whose search does not converge is
 searched again from its best point plus a seeded jitter, up to 4 times; a
 fit with an hour whose 5 searches all fail raises ``FitError``, and the
-backtest skips the setting's days of that block.
+backtest skips the setting's days of that block; so does a short window,
+or an hour whose errors are all equal.
 """
 from __future__ import annotations
 
@@ -247,14 +248,15 @@ def _bfgs(fun, x0, args, h0):
     ``h0`` (k, d) is the diagonal of each row's initial inverse Hessian, the
     metric of the first step.  Every row keeps its own inverse-Hessian
     approximation and line search, and each call passes only the rows still
-    searching, so no row's result depends on the other rows.  The line
-    search backtracks from the full step (a step of unit length in the h0
-    metric on the first iteration) to the argmin of a quadratic
-    interpolant, kept in [0.1, 0.5] times the last trial, until the Armijo
-    condition holds.  After the first step the inverse Hessian restarts from
-    diag(h0) scaled by s'y/y'diag(h0)y; the update is skipped when
-    s'y <= 1e-10 |s||y|, and a direction that is not a finite descent
-    direction restarts from diag(h0).  A row converges when
+    searching, so no row's result depends on the other rows.  Each
+    iteration tries every row's step and updates the state once: a row whose
+    trial meets the Armijo condition moves there and next tries the full
+    step (of unit length in the h0 metric on the first iteration); the
+    others stay and backtrack to the argmin of a quadratic interpolant, kept
+    in [0.1, 0.5] times the last trial.  After the first step the inverse
+    Hessian restarts from diag(h0) scaled by s'y/y'diag(h0)y; the update is
+    skipped when s'y <= 1e-10 |s||y|, and a direction that is not a finite
+    descent direction restarts from diag(h0).  A row converges when
     max |gradient| <= _GTOL or an accepted step lowers its objective by a
     relative _FTOL or less.  It fails when its objective is not finite at
     x0, when backtracking no longer moves it, or when it reaches _MAXITER
@@ -281,17 +283,14 @@ def _bfgs(fun, x0, args, h0):
         trial = x + step[:, None] * p
         f_new, g_new = fun(trial, args)
         ok = f_new <= f + 1e-4 * step * slope
-        accepted, rejected = ok.any(), not ok.all()
-        finished = np.zeros(rows.size, dtype=bool)
         with np.errstate(all="ignore"):
-            if rejected:
-                # backtrack; a step that no longer moves x ends the search
-                t_back = np.minimum(np.maximum(
-                    -slope * step * step / (2.0 * (f_new - f - slope * step)), 0.1 * step),
-                    0.5 * step)
-                finished |= ~ok & ~(np.isfinite(t_back)
-                                    & np.any(x + t_back[:, None] * p != x, axis=1))
-            if accepted:
+            # backtrack; a step that no longer moves x ends the search
+            t_back = np.minimum(np.maximum(
+                -slope * step * step / (2.0 * (f_new - f - slope * step)), 0.1 * step),
+                0.5 * step)
+            finished = ~ok & ~(np.isfinite(t_back)
+                               & np.any(x + t_back[:, None] * p != x, axis=1))
+            if ok.any():
                 nit += ok
                 s, y = step[:, None] * p, g_new - g
                 sy = (s * y).sum(axis=1)
@@ -312,26 +311,20 @@ def _bfgs(fun, x0, args, h0):
                 reset = ~(np.isfinite(slope_new) & (slope_new < 0.0))
                 if reset.any():
                     h = np.where(reset[:, None, None], diag, h)
-                    p_new = np.where(reset[:, None], -(diag * g_new[:, None, :]).sum(axis=2),
-                                     p_new)
+                    p_new = -(h * g_new[:, None, :]).sum(axis=2)
                     slope_new = (g_new * p_new).sum(axis=1)
                 decrease = (f - f_new) / np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
                 done = ok & ((np.max(np.abs(g_new), axis=1) <= _GTOL) | (decrease <= _FTOL))
                 converged[rows[done]] = True
                 finished |= done | (nit >= _MAXITER)
-        if not rejected:
-            x, f, g, hinv, p, slope = trial, f_new, g_new, h, p_new, slope_new
-            step = np.ones(rows.size)
-        elif not accepted:
-            step = t_back
-        else:
-            x = np.where(ok[:, None], trial, x)
-            f = np.where(ok, f_new, f)
-            g = np.where(ok[:, None], g_new, g)
-            hinv = np.where(ok[:, None, None], h, hinv)
-            p = np.where(ok[:, None], p_new, p)
-            slope = np.where(ok, slope_new, slope)
-            step = np.where(ok, 1.0, t_back)
+                # the accepted rows move to the trial point; the others keep their state
+                x = np.where(ok[:, None], trial, x)
+                f = np.where(ok, f_new, f)
+                g = np.where(ok[:, None], g_new, g)
+                hinv = np.where(ok[:, None, None], h, hinv)
+                p = np.where(ok[:, None], p_new, p)
+                slope = np.where(ok, slope_new, slope)
+        step = np.where(ok, 1.0, t_back)
         if finished.any():
             x_out[rows[finished]], f_out[rows[finished]] = x[finished], f[finished]
             keep = ~finished
@@ -385,14 +378,7 @@ def _fit_argarch(rows: np.ndarray, seed: int) -> list:
     gradient of the likelihood.  It starts from moment estimates and runs
     ``_search``.  Returns a list of one ``ArGarchParams`` per row.
     """
-    n = rows.shape[1]
-    if n < _MIN_ARGARCH_WINDOW:
-        raise FitError(f"AR-GARCH needs >= {_MIN_ARGARCH_WINDOW} observations, got {n}")
     var = np.var(rows, axis=1)
-    if np.any(var <= 0.0):
-        raise FitError(f"constant input series{_hours(np.flatnonzero(var <= 0.0))}: "
-                       "AR-GARCH fit is undefined")
-
     theta0 = _argarch_start(rows, var)
     # the first step's metric scales c with the data, so the search path
     # does not depend on the units of the errors
@@ -428,13 +414,7 @@ def _fit_sarima(rows: np.ndarray, s: int, seed: int) -> list:
     (mean, 0, 0).  The constant sigma path is sqrt(SSR / (N - 1)) over the N
     residuals.  Returns a list of one ``SarimaParams`` per row.
     """
-    if rows.shape[1] < 3 * s:
-        raise FitError(f"seasonal AR needs >= {3 * s} observations, got {rows.shape[1]}")
     sd = np.std(rows, axis=1)
-    if np.any(sd <= 0.0):
-        raise FitError(f"constant input series{_hours(np.flatnonzero(sd <= 0.0))}: "
-                       "seasonal AR fit is undefined")
-
     z = rows / sd[:, None]
     theta0 = np.column_stack([z.mean(axis=1), np.zeros((len(z), 2))])
     objective = functools.partial(_sarima_objective, s=s)
@@ -489,15 +469,24 @@ def fit_filter(errors, spec: FilterSpec, seed: int = 0):
     all hours at once (see ``_search``).  A one-hour caller passes an (n, 1)
     window.  Returns ``(params, FilterOutput)``: a list of H params and the
     window's (n, H) paths.  Params are None for the raw filter, which is the
-    identity with one-step forecast (0, 1).
+    identity with one-step forecast (0, 1).  A fitted filter raises
+    ``FitError`` for a window shorter than 100 days (AR-GARCH) or 3 periods
+    (seasonal AR), or with an hour whose values are all exactly equal.
     """
     rows = _rows(errors)
-    if spec.kind == AR_GARCH:
-        params = _fit_argarch(rows, seed)
-    elif spec.kind == SARIMA:
-        params = _fit_sarima(rows, spec.seasonal_period, seed)
-    else:  # the raw filter has no params: None per column
+    if spec.kind == RAW:  # no params: None per column
         params = [None] * len(rows)
+    else:
+        what, need = (("AR-GARCH", _MIN_ARGARCH_WINDOW) if spec.kind == AR_GARCH
+                      else ("seasonal AR", 3 * spec.seasonal_period))
+        if rows.shape[1] < need:
+            raise FitError(f"{what} needs >= {need} observations, got {rows.shape[1]}")
+        constant = np.ptp(rows, axis=1) == 0.0
+        if constant.any():
+            raise FitError(f"constant input series{_hours(np.flatnonzero(constant))}: "
+                           f"{what} fit is undefined")
+        params = (_fit_argarch(rows, seed) if spec.kind == AR_GARCH
+                  else _fit_sarima(rows, spec.seasonal_period, seed))
     # _paths, not filter_output: bench/spans.py counts filter_output's calls as passes
     return params, _paths(rows, spec, params)
 

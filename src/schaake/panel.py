@@ -1,7 +1,7 @@
 """Day x hour panels of prices / point forecasts, CSV ingestion, error computation.
 
 A panel is a T x 24 matrix of finite values indexed by strictly increasing
-calendar dates.  Dates are opaque labels; no timezone logic lives here.
+``datetime.date`` dates (not ``datetime``s); no timezone logic lives here.
 
 Every CSV file of the package is written by :func:`write_rows`, or, when no
 cell can need quoting, by :func:`write_number_rows` from numbers or by
@@ -57,6 +57,9 @@ class HourlyPanel:
             raise PanelError(f"panel values must be T x {N_HOURS}, got shape {values.shape}")
         if len(dates) != values.shape[0] or len(dates) < 1:
             raise PanelError("number of dates must match number of rows and be >= 1")
+        for d in dates:
+            if type(d) is not datetime.date:
+                raise PanelError(f"panel dates must be datetime.date, got {d!r}")
         for a, b in zip(dates, dates[1:]):
             if not a < b:
                 raise PanelError(f"dates must be strictly increasing, got {a} before {b}")

@@ -13,6 +13,7 @@ from test_copula import BAD_MATRIX_FILES
 from test_filters import explosive_window
 from schaake import backtest, cli
 from schaake.backtest import (
+    SETTING_TABLE,
     BacktestConfig,
     ConfigError,
     derive_seed,
@@ -73,6 +74,16 @@ def test_config_validation():
     for windows in ({"margin_window": 0}, {"error_window": 0}):
         with pytest.raises(ConfigError, match="window lengths must be positive"):
             BacktestConfig(**windows)
+    # a library caller's values are refused as the CLI's are, naming the key
+    for overrides in (["I-NP"], None, {"I-NP": {"kind": AR_GARCH}}, {"I-NP": None},
+                      {"I-NP": AR_GARCH}):
+        with pytest.raises(ConfigError, match="^filter_overrides must map setting names to "
+                                              "FilterSpecs, got "):
+            BacktestConfig(filter_overrides=overrides)
+    for key in ("eval_start", "eval_end"):
+        for value in ("2015-05-01", datetime.datetime(2015, 5, 1), 735719):
+            with pytest.raises(ConfigError, match=f"^{key} must be a datetime.date, got"):
+                BacktestConfig(**{key: value})
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "7", '"error_window"', "null"])
@@ -730,6 +741,25 @@ def test_explosive_hour_skips_its_seasonal_ar_days():
     assert result.skipped == {"Schaake-NP": {real.dates[t]: reasons[(t - 200) // 2]
                                              for t in range(200, 204)}}
     assert list(result.forecasts) == list(result.scores) == ["Schaake-Raw"]
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1])
+def test_backtest_skips_the_fitted_settings_of_a_constant_hour(value):
+    # hour 5's errors are exactly constant; at 0.1 their variance is not 0
+    errors = 3.0 * equicorrelated_normals(126, 0.6, seed=5)
+    real, fc = panels_from_errors(errors)
+    fc_values, values = fc.values.copy(), real.values.copy()
+    fc_values[:, 4], values[:, 4] = 0.0, value
+    real, fc = HourlyPanel(real.dates, values), HourlyPanel(fc.dates, fc_values)
+    with pytest.warns(UserWarning, match="constant input series for hours 5: AR-GARCH fit"):
+        result = run_backtest(real, fc, small_config(refit_every=3))
+    fitted = [name for name in SETTING_TABLE if SETTING_TABLE[name][0] == AR_GARCH]
+    assert sorted(result.skipped) == sorted(fitted)
+    for name in fitted:
+        assert list(result.skipped[name]) == list(real.dates[120:])
+        assert all("constant input series for hours 5" in reason
+                   for reason in result.skipped[name].values())
+    assert list(result.forecasts) == ["Schaake-Raw", "I-Raw"]
 
 
 def test_cli_toy_example(capsys):

@@ -432,3 +432,41 @@ def test_sarima_refuses_an_explosive_estimate():
     with pytest.raises(FitError, match=r"^seasonal AR estimate outside parameter space for "
                                        r"hours 2: require \|phi1\| < 1 and \|seasonal_phi\| < 1$"):
         fit_filter(explosive_window(200), FilterSpec(SARIMA))
+
+
+@pytest.mark.parametrize("spec", FITTED)
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 40.7, 0.5])
+def test_fitted_filters_refuse_an_exactly_constant_hour(spec, value):
+    # np.var of 364 copies of 0.1 is 7.7e-34, not 0: constancy is tested exactly
+    window = argarch_copula_errors(364, 0.6, seed=7)[:, :3]
+    window[:, 1] = value
+    with pytest.raises(FitError, match=r"^constant input series for hours 2: "):
+        fit_filter(window, spec)
+
+
+def test_bfgs_restarts_a_direction_that_is_not_a_descent_direction():
+    # a quadratic with its minimum 0 at the origin, powers of two so that
+    # every step below is exact, and the h0 metric diag(1, 14).  The first
+    # step, (1, 0), is accepted, and y'diag(h0)y overflows, so the scaled
+    # inverse Hessian s'y/y'diag(h0)y diag(h0) is 0 and its BFGS update sees
+    # only the first axis, where the gradient is now 0: the direction is -0,
+    # not a descent direction.  The row must restart from diag(h0), whose
+    # direction is finite, and still reach the minimum.
+    hessian = np.array([[2.0 ** 511, 2.0 ** 510], [2.0 ** 510, 2.0 ** 510]])
+    calls = []
+
+    def quadratic(x, args):
+        calls.append(x[0].copy())
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = x @ hessian
+            f = 0.5 * (x * g).sum(axis=1)
+        bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=1))
+        f[bad], g[bad] = math.inf, 0.0
+        return f, g
+
+    x0, h0 = np.array([[-2.0, 2.0]]), np.array([[1.0, 14.0]])
+    x, f, converged = filters._bfgs(quadratic, x0, np.zeros(1), h0)
+    assert np.array_equal(quadratic(x0, None)[1], [[-2.0 ** 511, 0.0]])
+    assert np.array_equal(calls[1], [-1.0, 2.0])  # the full first step, accepted
+    assert np.array_equal(calls[2], [-1.0, 2.0 - 14.0 * 2.0 ** 510])  # -diag(h0) g
+    assert converged[0] and f[0] <= 1e-9 * 2.0 ** 511

@@ -6,23 +6,30 @@ it, on the other settings of the run, on the days before its block, or, for
 the raw settings, on the refit schedule.  A last relation ties ``backtest``
 to ``evaluate``: rescoring the backtest's own forecast files reproduces its
 score, rank-histogram and DM files byte for byte.
+
+A property of one hostile run closes the file: on panels with constant
+runs, exact ties, zero-variance hours and rare outliers, ``backtest``
+accounts for every (setting, day), its files are readable by ``evaluate``
+and ``slp``, and its outputs do not depend on ``--jobs``.
 """
 import contextlib
 import io
+import json
 import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _simulate import argarch_copula_errors, equicorrelated_normals, panels_from_errors
 from schaake import cli
 from schaake.backtest import SETTING_TABLE, BacktestConfig, run_backtest
 from schaake.filters import AR_GARCH, RAW, SARIMA, FilterSpec
-from schaake.panel import HourlyPanel, save_panel
+from schaake.panel import N_HOURS, HourlyPanel, save_panel
 
 # the seasonal AR with period 50 needs 150 days, more than any drawn window,
 # so its settings are skipped; AR-GARCH drops the period it is given
@@ -145,3 +152,114 @@ def evaluate_round_trip(real, fc, cfg, data):
 def test_backtest_relations(relation, case, data):
     (real, fc), cfg = case
     relation(real, fc, cfg, data)
+
+
+def hostile_case(error_window, eval_days, seed, garch, constant, tied, outliers, config):
+    """Panels of ``error_window + eval_days`` days and a config dict for ``schaake backtest``.
+
+    ``constant`` maps an hour to (first day, end day, value): that hour's
+    errors are exactly ``value`` on those days.  Each hour of ``tied`` has
+    errors rounded to multiples of 0.5, and each (day, hour) of ``outliers``
+    an error 1e6 times larger.  Those cells have a point forecast of 0, so
+    their errors are exact.
+    """
+    n_days = error_window + eval_days
+    errors = (argarch_copula_errors(n_days, 0.6, seed) if garch
+              else 3.0 * equicorrelated_normals(n_days, 0.6, seed))
+    for day, hour in outliers:
+        errors[day, hour] *= 1e6
+    real, fc = panels_from_errors(errors)
+    fc_values, values = fc.values.copy(), real.values.copy()
+    for hour in tied:
+        values[:, hour], fc_values[:, hour] = np.round(2.0 * errors[:, hour]) / 2.0, 0.0
+    for hour, (start, end, value) in constant.items():
+        values[start:end, hour], fc_values[start:end, hour] = value, 0.0
+    for day, hour in outliers:
+        values[day, hour], fc_values[day, hour] = errors[day, hour], 0.0
+    return (HourlyPanel(real.dates, values), HourlyPanel(fc.dates, fc_values),
+            {"error_window": error_window, **config, "seed": seed})
+
+
+@st.composite
+def hostile_runs(draw):
+    error_window = draw(st.integers(100, 130))
+    eval_days = draw(st.integers(3, 5))
+    n_days = error_window + eval_days
+    hours = st.integers(0, N_HOURS - 1)
+    constant = {}
+    for hour in draw(st.lists(hours, max_size=3, unique=True), label="constant hours"):
+        start = draw(st.integers(0, n_days - 1))
+        end = draw(st.integers(start + 1, n_days))
+        whole = draw(st.booleans(), label="zero variance")
+        constant[hour] = (0 if whole else start, n_days if whole else end,
+                          draw(st.sampled_from([0.5, 0.1])))
+    tied = draw(st.lists(hours, max_size=3, unique=True), label="tied hours")
+    outliers = draw(st.lists(st.tuples(st.integers(0, n_days - 1), hours), max_size=3),
+                    label="outliers")
+    m = draw(st.integers(5, 20))
+    config = {"margin_window": draw(st.integers(2, error_window)), "dependence_window": m,
+              "refit_every": draw(st.integers(1, 4))}
+    return hostile_case(error_window, eval_days, draw(st.integers(0, 2**16)), draw(st.booleans()),
+                        constant, tied, outliers, config)
+
+
+def cli_run(args) -> tuple:
+    """(exit code, stdout) of ``schaake`` with ``args``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return cli.main([str(arg) for arg in args]), out.getvalue()
+
+
+def csv_rows(path) -> list:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]] if path.exists() else []
+
+
+@settings(max_examples=4, deadline=None)
+@given(case=hostile_runs())
+@example(case=hostile_case(120, 5, 3, False, {4: (0, 125, 0.1), 9: (30, 90, 0.5)}, [2], [(60, 7)],
+                           {"margin_window": 40, "dependence_window": 20, "refit_every": 2}))
+def test_backtest_accounts_for_every_day_of_a_hostile_panel(case):
+    real, fc, config = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # the skip reasons
+        tmp = Path(tmp)
+        save_panel(real, tmp / "real.csv")
+        save_panel(fc, tmp / "fc.csv")
+        (tmp / "cfg.json").write_text(json.dumps(config))
+        runs = []
+        for jobs in (1, 2):
+            out_dir = tmp / f"jobs{jobs}"
+            rc, stdout = cli_run(["backtest", "--real", tmp / "real.csv", "--forecast",
+                                  tmp / "fc.csv", "--config", tmp / "cfg.json",
+                                  "--out-dir", out_dir, "--jobs", jobs])
+            assert rc == 0
+            runs.append((stdout, {path.name: path.read_bytes() for path in out_dir.iterdir()}))
+        assert runs[0] == runs[1]
+
+        # every (setting, day) is scored or skipped, and every skip was warned
+        days = [d.isoformat() for d in real.dates[config["error_window"]:]]
+        scored = {(row[1], row[0]): row[3] for row in csv_rows(tmp / "jobs1" / "scores.csv")}
+        skipped = {tuple(row) for row in csv_rows(tmp / "jobs1" / "skipped_days.csv")}
+        assert not skipped & scored.keys()
+        assert skipped | scored.keys() == {(name, day) for name in SETTING_TABLE for day in days}
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        reasons = [str(w.message) for w in caught]
+        for name, day in skipped:
+            block = days[days.index(day) // config["refit_every"] * config["refit_every"]]
+            assert any(reason.startswith(f"{name} skipped on {day}: ")
+                       or (SETTING_TABLE[name][0] == AR_GARCH and reason.startswith(
+                           f"argarch fit failed for the block starting {block} "))
+                       for reason in reasons), (name, day)
+
+        # a Schaake setting and its independence counterpart share the CRPS
+        for name in ("NP", "P", "Raw"):
+            for day in days:
+                if (f"Schaake-{name}", day) in scored and (f"I-{name}", day) in scored:
+                    assert scored[f"Schaake-{name}", day] == scored[f"I-{name}", day]
+
+        files = sorted(tmp.glob("jobs1/forecasts_*.csv"))
+        if files:
+            forecasts = [arg for path in files for arg in ("--forecasts", path)]
+            assert cli_run(["evaluate", "--real", tmp / "real.csv", "--out-dir", tmp / "eval",
+                            *forecasts])[0] == 0
+            assert cli_run(["slp", "--real", tmp / "real.csv", *forecasts])[0] == 0

@@ -104,6 +104,10 @@ ONE_DAY = (datetime.date(2020, 1, 1),)
     (ONE_DAY, np.zeros((2, 24)), "number of dates must match number of rows"),
     (ONE_DAY, np.full((1, 24), np.inf), "non-finite"),
     (ONE_DAY, np.full((1, 24), np.nan), "non-finite"),
+    (("2020-01-01", "2020-01-02"), np.zeros((2, 24)), "panel dates must be datetime.date, got "
+                                                       "'2020-01-01'"),
+    ((datetime.datetime(2020, 1, 1),), np.zeros((1, 24)), "panel dates must be datetime.date"),
+    ((datetime.date(2020, 1, 1), 737426), np.zeros((2, 24)), "got 737426"),
 ])
 def test_hourly_panel_refuses_bad_values(dates, values, match):
     with pytest.raises(PanelError, match=match):
