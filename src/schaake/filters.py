@@ -13,13 +13,13 @@ learning window, the (n, H) standardized residuals, and a one-step-ahead
 (mu, sigma) forecast for the target day, two (H,) arrays.
 
 Both fitted filters minimize their objective, with its analytic gradient,
-by one BFGS search over all H hours at once; every hour keeps its own search
-state and sees only its own column, so its estimate does not depend on the
-hours that share its window.  An hour whose search does not converge is
-searched again from its best point plus a seeded jitter, up to 4 times; a
-fit with an hour whose 5 searches all fail raises ``FitError``, and the
-backtest skips the setting's days of that block; so does a short window,
-or an hour whose errors are all equal.
+by one BFGS search over all H hours at once, AR-GARCH's projected on a box
+of natural parameters; an hour sees only its own column, so its estimate
+does not depend on the hours that share its window.  An hour whose search
+does not converge is searched again from its best point plus a seeded
+jitter, up to 4 times; a fit with an hour whose 5 searches all fail raises
+``FitError``, and the backtest skips the setting's days of that block; so
+does a short window, or an hour whose errors are equal or underflow.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
-from scipy.special import expit
 
 RAW = "raw"
 AR_GARCH = "argarch"
@@ -38,13 +37,15 @@ SARIMA = "sarima"
 
 _MIN_ARGARCH_WINDOW = 100
 _ONE = np.ones(1)
-# BFGS stopping rules (see _bfgs); a relative decrease of 1e-12 instead of
-# _FTOL stopped early on the flat alpha -> 0 ridge of the likelihood.  An
-# unconverged hour gets up to _RESTARTS more searches.
+# BFGS stopping rules (see _bfgs); an unconverged hour gets up to _RESTARTS
+# more searches.
 _MAXITER = 500
 _GTOL = 1e-8
 _FTOL = 1e-14
 _RESTARTS = 4
+# AR-GARCH's box: omega >= _OMEGA_FLOOR * the hour's variance, alpha + beta <= _CAP
+_OMEGA_FLOOR = 1e-12
+_CAP = 1.0 - 1e-8
 
 
 class FitError(RuntimeError):
@@ -166,17 +167,17 @@ def _argarch_paths(eps, c, phi, omega, alpha, beta):
     return e, _ar1_filter(x, beta)
 
 
-def _argarch_objective(theta, eps):
-    """Negative log-likelihoods and their gradients with respect to ``theta``.
+def _argarch_objective(v, eps):
+    """Negative log-likelihoods and (H, 5) gradients at (H, 5) ``v`` for (H, n) ``eps``.
 
-    ``theta`` is (H, 5), one transformed parameter vector per hour, and
-    ``eps`` (H, n), one error window per row; returns the (H,) NLLs and the
-    (H, 5) gradients.  The gradient runs the variance recursion backwards
-    (the adjoint): lam_t = dL/dh_t + beta*lam_{t+1} is the total derivative
-    of the likelihood with respect to h_t, including its effect on later
-    variances.  Hours where the likelihood is not finite return (inf, 0).
+    A row of ``v`` is (c, phi, omega, alpha, r), beta = r * (_CAP - alpha), and
+    one of ``eps`` is one error window.  The gradient runs the variance
+    recursion backwards (the adjoint): lam_t = dL/dh_t + beta*lam_{t+1} is the
+    total derivative of the likelihood with respect to h_t, including its
+    effect on later variances.  Non-finite likelihoods return (inf, 0).
     """
-    c, phi, omega, alpha, beta = _argarch_untransform(theta)
+    c, phi, omega, alpha, r = v.T
+    beta = r * (_CAP - alpha)
     n = eps.shape[1]
     with np.errstate(all="ignore"):
         e, h = _argarch_paths(eps, c, phi, omega, alpha, beta)
@@ -191,20 +192,14 @@ def _argarch_objective(theta, eps):
         # dL/de_t: directly, through h_{t+1}, and through h_0 = mean(e^2)
         d_e = (inv_h + lam2[:, :1] / n) * e
         d_e[:, :-1] += alpha[:, None] * lam2_next * e[:, :-1]
-        grad = np.empty(theta.shape)
+        grad = np.empty(v.shape)
         grad[:, 0] = -d_e[:, 1:].sum(axis=1) - d_e[:, 0] / (1.0 - phi)
-        grad[:, 1] = (-(d_e[:, 1:] * eps[:, :-1]).sum(axis=1)
-                      - d_e[:, 0] * c / (1.0 - phi) ** 2) * (1.0 - phi * phi)
-        d_omega = 0.5 * lam2_next.sum(axis=1)
+        grad[:, 1] = -(d_e[:, 1:] * eps[:, :-1]).sum(axis=1) - d_e[:, 0] * c / (1.0 - phi) ** 2
+        grad[:, 2] = 0.5 * lam2_next.sum(axis=1)
         d_alpha = 0.5 * (lam2_next * e2[:, :-1]).sum(axis=1)
         d_beta = 0.5 * (lam2_next * h[:, :-1]).sum(axis=1)
-        # chain rule through _argarch_untransform
-        persistence, share = expit(theta[:, 3]), expit(theta[:, 4])
-        grad[:, 2] = np.where(np.abs(theta[:, 2]) < 700.0, d_omega * omega, 0.0)
-        grad[:, 3] = (d_alpha * share + d_beta * (1.0 - share)) * np.where(
-            persistence < 1.0 - 1e-8, persistence * (1.0 - persistence), 0.0)
-        grad[:, 4] = ((d_alpha - d_beta) * np.minimum(persistence, 1.0 - 1e-8)
-                      * share * (1.0 - share))
+        grad[:, 3] = d_alpha - r * d_beta
+        grad[:, 4] = d_beta * (_CAP - alpha)
         bad = ~np.isfinite(nll + grad.sum(axis=1))
     if bad.any():
         nll[bad] = math.inf
@@ -212,19 +207,8 @@ def _argarch_objective(theta, eps):
     return nll, grad
 
 
-def _argarch_untransform(theta):
-    """(c, phi, omega, alpha, beta) from transformed parameters ``theta`` (..., 5)."""
-    c = theta[..., 0]
-    # keep strictly inside the parameter space even when the search saturates
-    phi = np.minimum(np.maximum(np.tanh(theta[..., 1]), -1.0 + 1e-12), 1.0 - 1e-12)
-    omega = np.exp(np.minimum(np.maximum(theta[..., 2], -700.0), 700.0))
-    persistence = np.minimum(expit(theta[..., 3]), 1.0 - 1e-8)
-    share = expit(theta[..., 4])
-    return c, phi, omega, persistence * share, persistence * (1.0 - share)
-
-
 def _argarch_start(eps: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Moment-based transformed start per row of the (H, n) windows ``eps``.
+    """Moment-based start (c, phi, omega, alpha, r) per row of the (H, n) windows ``eps``.
 
     phi from the lag-1 autocorrelation, c from the mean, and the GARCH part
     at (omega, alpha, beta) = (0.1*var, 0.05, 0.9).
@@ -233,54 +217,74 @@ def _argarch_start(eps: np.ndarray, var: np.ndarray) -> np.ndarray:
     demeaned = eps - mean[:, None]
     phi = np.clip((demeaned[:, 1:] * demeaned[:, :-1]).sum(axis=1)
                   / (demeaned * demeaned).sum(axis=1), -0.95, 0.95)
-    persistence, share = 0.05 + 0.9, 0.05 / (0.05 + 0.9)
     ones = np.ones(eps.shape[0])
-    return np.column_stack([mean * (1.0 - phi), np.arctanh(phi), np.log(0.1 * var),
-                            math.log(persistence / (1.0 - persistence)) * ones,
-                            math.log(share / (1.0 - share)) * ones])
+    return np.column_stack([mean * (1.0 - phi), phi, 0.1 * var, 0.05 * ones,
+                            0.9 / (_CAP - 0.05) * ones])
 
 
-def _bfgs(fun, x0, args, h0):
-    """Minimize k independent objectives at once by BFGS.
+def _direction(h, g, x, lo, hi):
+    """Projected gradient pg, direction p and slope of rows at ``x`` in boxes [lo, hi].
+
+    Held, with p = 0: a coordinate on a bound whose gradient (then pg = 0), or
+    then whose p, points out; the rest follows -h g, h Gauss-eliminated of the held."""
+    held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+    pg, new = np.where(held, 0.0, g), held
+    while True:
+        for j in np.flatnonzero(new.any(axis=0)):
+            hj = h[:, :, j]
+            h = np.where(new[:, j, None, None],
+                         h - hj[:, :, None] * hj[:, None, :] / hj[:, j, None, None], h)
+        p = np.where(held, 0.0, -(h * pg[:, None, :]).sum(axis=2))
+        new = ~held & (((x <= lo) & (p < 0.0)) | ((x >= hi) & (p > 0.0)))
+        if not new.any():
+            return pg, p, (g * p).sum(axis=1)
+        held = held | new
+
+
+def _bfgs(fun, x0, args, h0, lo, hi):
+    """Minimize k independent objectives at once by BFGS projected on boxes.
 
     ``fun(x, args)`` takes parameter rows x (j, d) and the matching rows of
     ``args`` and returns the j objective values and their (j, d) gradients.
     ``h0`` (k, d) is the diagonal of each row's initial inverse Hessian, the
-    metric of the first step.  Every row keeps its own inverse-Hessian
-    approximation and line search, and each call passes only the rows still
-    searching, so no row's result depends on the other rows.  Each
-    iteration tries every row's step and updates the state once: a row whose
-    trial meets the Armijo condition moves there and next tries the full
-    step (of unit length in the h0 metric on the first iteration); the
-    others stay and backtrack to the argmin of a quadratic interpolant, kept
-    in [0.1, 0.5] times the last trial.  After the first step the inverse
-    Hessian restarts from diag(h0) scaled by s'y/y'diag(h0)y; the update is
-    skipped when s'y <= 1e-10 |s||y|, and a direction that is not a finite
-    descent direction restarts from diag(h0).  A row converges when
-    max |gradient| <= _GTOL or an accepted step lowers its objective by a
-    relative _FTOL or less.  It fails when its objective is not finite at
-    x0, when backtracking no longer moves it, or when it reaches _MAXITER
-    iterations.
+    metric of the first step; ``lo`` and ``hi`` (k, d) bound each row's box
+    (+-inf: free), and x0 is projected onto it.  Each call passes only the
+    rows still searching, so no row's result depends on the others.  A row
+    tries the step along ``_direction`` (Bertsekas 1982), cut where a
+    coordinate reaches its bound; on the Armijo condition it moves there and
+    next tries the full step (of unit h0 length at first), else backtracks to
+    a quadratic interpolant's argmin in [0.1, 0.5] times the trial.  The
+    inverse Hessian restarts from diag(h0) scaled by s'y/y'diag(h0)y after the
+    first step, and from diag(h0) where the direction's cosine with -g is
+    1e-12 or less; the update is skipped when s'y <= 1e-10 |s||y|.  A row
+    converges when max |projected gradient| <= _GTOL or a step lowers f by a
+    relative _FTOL or less; it fails when f is not finite at x0, an accepted
+    step or backtracking leaves x unchanged, or at _MAXITER iterations.
 
     Returns (x, f, converged), with x (k, d) and f and converged (k,).
     """
-    x_out = np.array(x0, dtype=float)
+    x_out = np.clip(np.array(x0, dtype=float), lo, hi)
     k, d = x_out.shape
     f_out, g = fun(x_out, args)
-    converged = np.max(np.abs(g), axis=1) <= _GTOL
     diag = np.asarray(h0, dtype=float)[:, :, None] * np.eye(d)
-    p = -h0 * g
-    slope = (g * p).sum(axis=1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):
+        pg, p, slope = _direction(diag, g, x_out, lo, hi)
         step = np.minimum(1.0, 1.0 / np.sqrt(-slope))
+    converged = np.max(np.abs(pg), axis=1) <= _GTOL
     # the search state holds only the rows still searching, in ``rows`` order
     keep = np.isfinite(f_out) & np.isfinite(slope) & ~converged
     rows = np.flatnonzero(keep)
-    x, f, g, p, slope, step, diag, args = (
-        v[keep] for v in (x_out, f_out, g, p, slope, step, diag, args))
+    x, f, g, p, slope, step, diag, lo, hi, args = (
+        v[keep] for v in (x_out, f_out, g, p, slope, step, diag, lo, hi, args))
     hinv, nit = diag, np.zeros(rows.size, dtype=int)
     while rows.size:
-        trial = x + step[:, None] * p
+        # the step ends where a first coordinate reaches its bound, exactly on it
+        with np.errstate(all="ignore"):
+            reach = np.where(p < 0.0, (lo - x) / p, np.where(p > 0.0, (hi - x) / p, math.inf))
+        step = np.minimum(step, reach.min(axis=1))
+        move = step[:, None] * p
+        trial = np.where(reach <= step[:, None], np.where(p < 0.0, lo, hi),
+                         np.clip(x + move, lo, hi))
         f_new, g_new = fun(trial, args)
         ok = f_new <= f + 1e-4 * step * slope
         with np.errstate(all="ignore"):
@@ -292,7 +296,7 @@ def _bfgs(fun, x0, args, h0):
                                & np.any(x + t_back[:, None] * p != x, axis=1))
             if ok.any():
                 nit += ok
-                s, y = step[:, None] * p, g_new - g
+                s, y = move, g_new - g
                 sy = (s * y).sum(axis=1)
                 curved = sy > 1e-10 * np.sqrt((s * s).sum(axis=1) * (y * y).sum(axis=1))
                 h = hinv
@@ -306,17 +310,17 @@ def _bfgs(fun, x0, args, h0):
                                   * (s[:, :, None] * s[:, None, :])
                                   - (hy[:, :, None] * s[:, None, :]
                                      + s[:, :, None] * hy[:, None, :]) / sy[:, None, None]), h)
-                p_new = -(h * g_new[:, None, :]).sum(axis=2)
-                slope_new = (g_new * p_new).sum(axis=1)
-                reset = ~(np.isfinite(slope_new) & (slope_new < 0.0))
+                pg, p_new, slope_new = _direction(h, g_new, trial, lo, hi)
+                reset = ~(slope_new < -1e-12 * np.max(np.abs(pg), axis=1)
+                          * np.max(np.abs(p_new), axis=1))
                 if reset.any():
                     h = np.where(reset[:, None, None], diag, h)
-                    p_new = -(h * g_new[:, None, :]).sum(axis=2)
-                    slope_new = (g_new * p_new).sum(axis=1)
+                    pg, p_new, slope_new = _direction(h, g_new, trial, lo, hi)
                 decrease = (f - f_new) / np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
-                done = ok & ((np.max(np.abs(g_new), axis=1) <= _GTOL) | (decrease <= _FTOL))
+                stall = ok & np.all(trial == x, axis=1)  # an accepted step that leaves x
+                done = ok & ~stall & ((np.max(np.abs(pg), axis=1) <= _GTOL) | (decrease <= _FTOL))
                 converged[rows[done]] = True
-                finished |= done | (nit >= _MAXITER)
+                finished |= done | stall | (nit >= _MAXITER)
                 # the accepted rows move to the trial point; the others keep their state
                 x = np.where(ok[:, None], trial, x)
                 f = np.where(ok, f_new, f)
@@ -328,34 +332,36 @@ def _bfgs(fun, x0, args, h0):
         if finished.any():
             x_out[rows[finished]], f_out[rows[finished]] = x[finished], f[finished]
             keep = ~finished
-            rows, x, f, g, p, slope, step, hinv, diag, nit, args = (
-                v[keep] for v in (rows, x, f, g, p, slope, step, hinv, diag, nit, args))
+            rows, x, f, g, p, slope, step, hinv, diag, nit, lo, hi, args = (
+                v[keep] for v in (rows, x, f, g, p, slope, step, hinv, diag, nit, lo, hi, args))
     return x_out, f_out, converged
 
 
-def _search(objective, theta0, rows, h0, seed, what):
-    """Minimize ``objective`` for each of the k ``rows`` from (k, d) ``theta0``.
+def _search(objective, theta0, rows, h0, lo, hi, seed, what):
+    """Minimize ``objective`` for each of the k ``rows`` from (k, d) ``theta0`` in [lo, hi].
 
     One ``_bfgs`` search runs on all rows; those that do not converge are
     searched again, together, up to 4 times, each from its lowest point theta
-    plus 0.1 * max(|theta|, 1) * jitter, the jitters one (4, d) standard
-    normal draw from ``Philox(seed)``.  Returns the (k, d) lowest points, or
-    raises ``FitError`` naming ``what`` and the hours whose 5 searches fail.
+    plus 0.1 * max(|theta|, 1) * jitter (projected onto its box), the jitters
+    one (4, d) standard normal draw from ``Philox(seed)``.  Returns the
+    lowest points and values, or raises ``FitError`` naming ``what`` and
+    the hours whose 5 searches fail.
     """
-    theta, f, converged = _bfgs(objective, theta0, rows, h0)
+    theta, f, converged = _bfgs(objective, theta0, rows, h0, lo, hi)
     rng = np.random.Generator(np.random.Philox(seed))
     for z in rng.standard_normal((_RESTARTS, theta.shape[1])):
         retry = np.flatnonzero(~converged)
         if not retry.size:
             break
         start = theta[retry] + 0.1 * np.maximum(np.abs(theta[retry]), 1.0) * z
-        x, f_retry, converged[retry] = _bfgs(objective, start, rows[retry], h0[retry])
+        x, f_retry, converged[retry] = _bfgs(objective, start, rows[retry], h0[retry],
+                                             lo[retry], hi[retry])
         better = f_retry < f[retry]
         theta[retry[better]], f[retry[better]] = x[better], f_retry[better]
     if not converged.all():
         raise FitError(f"{what} did not converge after {_RESTARTS + 1} attempts"
                        f"{_hours(np.flatnonzero(~converged))}")
-    return theta
+    return theta, f
 
 
 def _params(cls, columns, what) -> list:
@@ -373,18 +379,31 @@ def _params(cls, columns, what) -> list:
 def _fit_argarch(rows: np.ndarray, seed: int) -> list:
     """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to (H, n) ``rows``, one hour per row.
 
-    The search runs in a transformed unconstrained space, so the stationarity
-    and positivity constraints hold by construction, and uses the analytic
-    gradient of the likelihood.  It starts from moment estimates and runs
-    ``_search``.  Returns a list of one ``ArGarchParams`` per row.
+    ``_search`` runs from moment estimates in the box |phi| <= 1 - 1e-12,
+    omega >= _OMEGA_FLOOR * var (var the hour's variance), 0 <= alpha <= _CAP
+    and 0 <= r = beta / (_CAP - alpha) <= 1, whose faces it reaches in finitely
+    many steps.  An hour ending at alpha = 0 is searched from (omega, alpha,
+    beta) = (0.8 * var, 0.2, 0) on the beta = 0 face, then in the box where
+    that is lower, and keeps the lower NLL.  Returns one ``ArGarchParams`` per row.
     """
     var = np.var(rows, axis=1)
-    theta0 = _argarch_start(rows, var)
-    # the first step's metric scales c with the data, so the search path
-    # does not depend on the units of the errors
-    h0 = np.column_stack([var, np.ones((len(var), 4))])
-    theta = _search(_argarch_objective, theta0, rows, h0, seed, "AR-GARCH QMLE")
-    return _params(ArGarchParams, _argarch_untransform(theta), "AR-GARCH")
+    lo = np.tile([-math.inf, -1.0 + 1e-12, 0.0, 0.0, 0.0], (len(var), 1))
+    lo[:, 2] = _OMEGA_FLOOR * var
+    hi = np.tile([math.inf, 1.0 - 1e-12, math.inf, _CAP, 1.0], (len(var), 1))
+    # the metric of c and omega scales with the data: the search path is unit-free
+    h0 = np.column_stack([var, np.ones(len(var)), 0.01 * var * var, np.full((len(var), 2), 0.01)])
+    v, f = _search(_argarch_objective, _argarch_start(rows, var), rows, h0, lo, hi, seed,
+                   "AR-GARCH QMLE")
+    face = np.flatnonzero(v[:, 3] == 0.0)
+    x = np.column_stack([v[face, :2], 0.8 * var[face], np.full((face.size, 2), [0.2, 0.0])])
+    for beta_face in (True, False):  # on the beta = 0 face, then in the box where lower
+        if face.size:
+            x, f_face, converged = _bfgs(_argarch_objective, x, rows[face], h0[face], lo[face],
+                                         np.where(beta_face & (np.arange(5) == 4), 0.0, hi[face]))
+            lower = converged & (f_face < f[face])
+            face, x = face[lower], x[lower]
+    v[face] = x
+    return _params(ArGarchParams, (*v[:, :4].T, v[:, 4] * (_CAP - v[:, 3])), "AR-GARCH")
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +437,11 @@ def _fit_sarima(rows: np.ndarray, s: int, seed: int) -> list:
     z = rows / sd[:, None]
     theta0 = np.column_stack([z.mean(axis=1), np.zeros((len(z), 2))])
     objective = functools.partial(_sarima_objective, s=s)
-    theta = _search(objective, theta0, z, np.ones(theta0.shape), seed,
-                    "seasonal AR conditional least squares")
+    free = np.full(theta0.shape, math.inf)  # no bounds
+    theta, f = _search(objective, theta0, z, np.ones(theta0.shape), -free, free, seed,
+                       "seasonal AR conditional least squares")
     n_res = rows.shape[1] - s - 1
-    sigma = sd * np.sqrt(2.0 * objective(theta, z)[0] * n_res / (n_res - 1))
+    sigma = sd * np.sqrt(2.0 * f * n_res / (n_res - 1))
     return _params(SarimaParams, (sd * theta[:, 0], *theta[:, 1:].T, sigma), "seasonal AR")
 
 
@@ -471,7 +491,7 @@ def fit_filter(errors, spec: FilterSpec, seed: int = 0):
     window's (n, H) paths.  Params are None for the raw filter, which is the
     identity with one-step forecast (0, 1).  A fitted filter raises
     ``FitError`` for a window shorter than 100 days (AR-GARCH) or 3 periods
-    (seasonal AR), or with an hour whose values are all exactly equal.
+    (seasonal AR), or an hour whose values are equal or whose variance underflows.
     """
     rows = _rows(errors)
     if spec.kind == RAW:  # no params: None per column
@@ -481,10 +501,10 @@ def fit_filter(errors, spec: FilterSpec, seed: int = 0):
                       else ("seasonal AR", 3 * spec.seasonal_period))
         if rows.shape[1] < need:
             raise FitError(f"{what} needs >= {need} observations, got {rows.shape[1]}")
-        constant = np.ptp(rows, axis=1) == 0.0
-        if constant.any():
-            raise FitError(f"constant input series{_hours(np.flatnonzero(constant))}: "
-                           f"{what} fit is undefined")
+        for bad, why in ((np.ptp(rows, axis=1) == 0.0, "constant input series"),
+                         (np.var(rows, axis=1) < np.finfo(float).tiny, "variance underflow")):
+            if bad.any():
+                raise FitError(f"{why}{_hours(np.flatnonzero(bad))}: {what} fit is undefined")
         params = (_fit_argarch(rows, seed) if spec.kind == AR_GARCH
                   else _fit_sarima(rows, spec.seasonal_period, seed))
     # _paths, not filter_output: bench/spans.py counts filter_output's calls as passes

@@ -43,6 +43,7 @@ def reference_nll(eps, params):
 
 
 FITTED = [FilterSpec(AR_GARCH), FilterSpec(SARIMA, seasonal_period=7)]
+FREE = np.full((1, 2), math.inf)  # the bounds of an unconstrained two-parameter search
 
 
 def sarima_residuals(coef, eps, s):
@@ -117,22 +118,32 @@ def test_fit_scale_equivariance(spec, tol):
     assert np.max(np.abs(out1.z - out2.z)) <= tol
 
 
+def argarch_params(v) -> ArGarchParams:
+    """The params of a search point v = (c, phi, omega, alpha, r), beta = r * (_CAP - alpha)."""
+    c, phi, omega, alpha, r = map(float, v)
+    return ArGarchParams(c, phi, omega, alpha, r * (filters._CAP - alpha))
+
+
+# the search points of the objective property: c in [-1, 1] times the scale
+# of the errors, omega in [e^-3, e] times its square, alpha in [0, 0.5] and
+# r in [0, 0.98]; a forward difference at alpha = 0 or r = 0 stays in the
+# parameter space
 @settings(max_examples=60, deadline=None)
-@given(theta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.5, 1.5), st.floats(-3.0, 1.0),
-                       st.floats(-2.0, 4.0), st.floats(-3.0, 3.0)),
+@given(v=st.tuples(st.floats(-1.0, 1.0), st.floats(-0.9, 0.9), st.floats(math.exp(-3.0), math.e),
+                   st.floats(0.0, 0.5), st.floats(0.0, 0.98)),
        seed=st.integers(0, 2**16), n=st.integers(100, 400),
        scale=st.floats(0.1, 10.0), garch=st.booleans())
-def test_argarch_objective_value_and_gradient(theta, seed, n, scale, garch):
+def test_argarch_objective_value_and_gradient(v, seed, n, scale, garch):
     if garch:
         eps = scale * argarch_series(n, 0.1, 0.4, 0.1, 0.1, 0.8, seed=seed)
     else:
         eps = scale * rng_for(seed).standard_normal(n)
-    theta = np.array(theta)
-    nll, grad = filters._argarch_objective(theta[None], eps[None])
-    params = ArGarchParams(*filters._argarch_untransform(theta))
-    assert nll[0] == pytest.approx(reference_nll(eps, params), rel=1e-12)
+    units = np.array([scale, 1.0, scale * scale, 1.0, 1.0])  # those of c and omega
+    v = np.array(v) * units
+    nll, grad = filters._argarch_objective(v[None], eps[None])
+    assert nll[0] == pytest.approx(reference_nll(eps, argarch_params(v)), rel=1e-12)
     numeric = optimize.approx_fprime(
-        theta, lambda t: filters._argarch_objective(t[None], eps[None])[0][0], 1e-7)
+        v, lambda t: filters._argarch_objective(t[None], eps[None])[0][0], 1e-7 * units)
     assert np.linalg.norm(grad[0] - numeric) <= 1e-4 * max(np.linalg.norm(numeric), 1.0)
 
 
@@ -191,7 +202,7 @@ def test_argarch_fit_emits_no_numeric_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # omega = exp(-700) and alpha = beta = 0: e^2/h overflows
-        nll, grad = filters._argarch_objective(np.array([[0.0, 0.0, -700.0, -800.0, 0.0]]),
+        nll, grad = filters._argarch_objective(np.array([[0.0, 0.0, math.exp(-700.0), 0.0, 0.0]]),
                                                rng_for(1).standard_normal((1, 364)))
         assert nll[0] == math.inf and not np.any(grad)
         for seed in range(12):
@@ -219,24 +230,26 @@ def test_hours_fit_independently(spec, garch, seed, n, data):
         assert (out.one_step[0][j], out.one_step[1][j]) == tuple(v[0] for v in out_alone.one_step)
 
 
-def lbfgsb_fit(eps, theta0):
-    """One L-BFGS-B search for one hour's AR-GARCH QMLE, from ``theta0``."""
-    def objective(theta):
-        nll, grad = filters._argarch_objective(theta[None], eps[None])
+def lbfgsb_fit(eps, v0):
+    """One L-BFGS-B search for one hour's AR-GARCH QMLE, from ``v0``, in the package's box."""
+    def objective(v):
+        nll, grad = filters._argarch_objective(v[None], eps[None])
         return nll[0], grad[0]
 
-    return optimize.minimize(objective, theta0, jac=True, method="L-BFGS-B",
+    bounds = [(None, None), (-1.0 + 1e-12, 1.0 - 1e-12), (filters._OMEGA_FLOOR * eps.var(), None),
+              (0.0, filters._CAP), (0.0, 1.0)]
+    return optimize.minimize(objective, v0, jac=True, method="L-BFGS-B", bounds=bounds,
                              options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8})
 
 
 def argarch_no_worse_than_lbfgsb(rows, spec, params):
     # every hour's NLL is at most that of an L-BFGS-B search from the same
-    # start, plus 1e-9 nat/obs
-    theta0 = filters._argarch_start(rows, rows.var(axis=1))
+    # start in the same box, plus 1e-9 nat/obs
+    v0 = filters._argarch_start(rows, rows.var(axis=1))
     for h, p in enumerate(params):
-        res = lbfgsb_fit(rows[h], theta0[h])
+        res = lbfgsb_fit(rows[h], v0[h])
         assert res.success
-        lbfgsb = ArGarchParams(*map(float, filters._argarch_untransform(res.x)))
+        lbfgsb = argarch_params(res.x)
         assert reference_nll(rows[h], p) <= reference_nll(rows[h], lbfgsb) + 1e-9 * rows.shape[1]
 
 
@@ -273,10 +286,10 @@ def test_batch_fit_names_failed_hours(spec, monkeypatch):
     bfgs = filters._bfgs
     searched, first_rows = [], []
 
-    def hour_3_unconverged(fun, x0, args, h0):
+    def hour_3_unconverged(fun, x0, args, h0, *bounds):
         searched.append(len(x0))
         first_rows.append(args)  # the rows of the search of all hours, in hour order
-        x, f, converged = bfgs(fun, x0, args, h0)
+        x, f, converged = bfgs(fun, x0, args, h0, *bounds)
         converged &= ~np.all(args == first_rows[0][2], axis=1)
         return x, f, converged
 
@@ -288,14 +301,16 @@ def test_batch_fit_names_failed_hours(spec, monkeypatch):
 
 
 def test_argarch_restarts_a_stalled_hour_with_bfgs(monkeypatch):
-    # hour 8 of this window stalls in its first BFGS search; the restarts
-    # must converge without scipy's optimizers and keep the lowest NLL
+    # hour 8 of this window is made to stall in its first BFGS search; the
+    # restarts must converge without scipy's optimizers and keep the lowest NLL
     window = 3.0 * equicorrelated_normals(364, 0.6, seed=2006)
     bfgs = filters._bfgs
     searches = []
 
-    def recording_bfgs(fun, x0, args, h0):
-        x, f, converged = bfgs(fun, x0, args, h0)
+    def recording_bfgs(fun, x0, args, h0, *bounds):
+        x, f, converged = bfgs(fun, x0, args, h0, *bounds)
+        if not searches:
+            converged[7] = False
         searches.append((f, np.flatnonzero(~converged).tolist()))
         return x, f, converged
 
@@ -305,7 +320,10 @@ def test_argarch_restarts_a_stalled_hour_with_bfgs(monkeypatch):
     monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
     monkeypatch.setattr(optimize, "minimize", no_minimize)
     params, _ = fit_filter(window, FilterSpec(AR_GARCH))
-    assert [unconverged for _, unconverged in searches] == [[7], []]
+    # the search of all hours, one restart of its unconverged hours, then the
+    # searches of the hours that end at alpha = 0
+    assert 7 in searches[0][1] and searches[1][1] == []
+    assert len(searches[1][0]) == len(searches[0][1])
     stalled_nll = searches[0][0][7]
     assert reference_nll(window[:, 7], params[7]) <= stalled_nll + 1e-9
 
@@ -465,8 +483,56 @@ def test_bfgs_restarts_a_direction_that_is_not_a_descent_direction():
         return f, g
 
     x0, h0 = np.array([[-2.0, 2.0]]), np.array([[1.0, 14.0]])
-    x, f, converged = filters._bfgs(quadratic, x0, np.zeros(1), h0)
+    x, f, converged = filters._bfgs(quadratic, x0, np.zeros(1), h0, -FREE, FREE)
     assert np.array_equal(quadratic(x0, None)[1], [[-2.0 ** 511, 0.0]])
     assert np.array_equal(calls[1], [-1.0, 2.0])  # the full first step, accepted
     assert np.array_equal(calls[2], [-1.0, 2.0 - 14.0 * 2.0 ** 510])  # -diag(h0) g
     assert converged[0] and f[0] <= 1e-9 * 2.0 ** 511
+
+
+# the quadratic of the two tests below: Hessian [[1e154, 5.5e153], [5.5e153, 6.05e153]],
+# minimum 0 at the origin, and the h0 metric diag(1, 4)
+NEAR_SINGULAR = np.array([[1e154, 5.5e153], [5.5e153, 6.05e153]])
+
+
+def near_singular_quadratic(x, args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x @ NEAR_SINGULAR
+        f = 0.5 * (x * g).sum(axis=1)
+    bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=1))
+    f[bad], g[bad] = math.inf, 0.0
+    return f, g
+
+
+def test_bfgs_reports_a_null_accepted_step_as_a_stall():
+    # from (-2, 1e154 / 5.5e153) the gradient is (-1e154, -9.6e136) in
+    # floating point, the overflowing first scaling leaves a rank-one inverse
+    # Hessian, whose accepted step leaves f = 5e153 unchanged: that is no
+    # convergence, as the minimum is 0.  Its direction is within 1e-12 of
+    # orthogonal to -g, so the search restarts from diag(h0); a row may
+    # report convergence only near the minimum
+    x0 = np.array([[-2.0, 1e154 / 5.5e153]])
+    x, f, converged = filters._bfgs(near_singular_quadratic, x0, np.zeros(1), np.array([[1.0, 4.0]]),
+                                    -FREE, FREE)
+    assert not converged[0] or f[0] <= 1e-9 * 5e153
+
+
+def test_bfgs_first_slope_emits_no_overflow_warning():
+    # from (-4, 0) the first slope g' diag(h0) g overflows: the row is dropped
+    # as not finite, unconverged, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, f, converged = filters._bfgs(near_singular_quadratic, np.array([[-4.0, 0.0]]),
+                                        np.zeros(1), np.array([[1.0, 4.0]]), -FREE, FREE)
+    assert not converged[0]
+
+
+@pytest.mark.parametrize("spec", FITTED)
+def test_fitted_filters_refuse_an_hour_whose_variance_underflows(spec):
+    # 0 and 5e-324 alternate: not constant, but the variance is 0 in floating point
+    window = argarch_copula_errors(200, 0.6, seed=7)[:, :3]
+    window[:, 2] = np.resize([0.0, 5e-324], 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match=r"^variance underflow for hours 3: "):
+            fit_filter(window, spec)
