@@ -168,7 +168,7 @@ def test_argarch_fits_satisfy_their_first_order_conditions(kind, seed, hours):
 
 
 # objective calls per 24-hour fit, measured: iid windows 1000 and 1001 take
-# 117 and 136, AR-GARCH windows 56 and 36; the transformed search of an
+# 94 and 112, AR-GARCH windows 56 and 36; the transformed search of an
 # earlier version took 678 and 606 on these iid windows (52 and 41 AR-GARCH)
 MAX_CALLS = {"iid": 250, "argarch": 120}
 
