@@ -15,11 +15,10 @@ learning window, the (n, H) standardized residuals, and a one-step-ahead
 Both fitted filters minimize their objective, with its analytic gradient,
 by one BFGS search over all H hours at once, AR-GARCH's projected on a box
 of natural parameters; an hour sees only its own column, so its estimate
-does not depend on the hours that share its window.  An hour whose search
-does not converge is searched again from its best point plus a seeded
-jitter, up to 4 times; a fit with an hour whose 5 searches all fail raises
-``FitError``, and the backtest skips the setting's days of that block; so
-does a short window, or an hour whose errors are equal or underflow.
+does not depend on the hours that share its window.  A fit raises
+``FitError``, and the backtest skips the setting's days of that block, for
+an hour whose 5 searches (see ``_search``) all fail, a short window, or an
+hour whose errors are equal or underflow.
 """
 from __future__ import annotations
 
@@ -37,8 +36,7 @@ SARIMA = "sarima"
 
 _MIN_ARGARCH_WINDOW = 100
 _ONE = np.ones(1)
-# BFGS stopping rules (see _bfgs); an unconverged hour gets up to _RESTARTS
-# more searches.
+# BFGS stopping rules (see _bfgs); an unconverged hour gets up to _RESTARTS more searches
 _MAXITER = 500
 _GTOL = 1e-8
 _FTOL = 1e-14
@@ -132,10 +130,7 @@ def _hours(columns) -> str:
 # ---------------------------------------------------------------------------
 
 def _ar1_filter(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """y_t = x_t + beta*y_{t-1} along each row of x, with that row's beta.
-
-    ``lfilter`` takes one denominator per call, so it runs once per row.
-    """
+    """y_t = x_t + beta*y_{t-1} along each row of x, one ``lfilter`` call per row's beta."""
     y = np.empty(x.shape)
     a = np.ones((len(beta), 2))
     a[:, 1] = -beta
@@ -170,11 +165,10 @@ def _argarch_paths(eps, c, phi, omega, alpha, beta):
 def _argarch_objective(v, eps):
     """Negative log-likelihoods and (H, 5) gradients at (H, 5) ``v`` for (H, n) ``eps``.
 
-    A row of ``v`` is (c, phi, omega, alpha, r), beta = r * (_CAP - alpha), and
-    one of ``eps`` is one error window.  The gradient runs the variance
-    recursion backwards (the adjoint): lam_t = dL/dh_t + beta*lam_{t+1} is the
-    total derivative of the likelihood with respect to h_t, including its
-    effect on later variances.  Non-finite likelihoods return (inf, 0).
+    A row of ``v`` is (c, phi, omega, alpha, r), beta = r * (_CAP - alpha), and of
+    ``eps`` one error window.  The gradient runs the variance recursion backwards
+    (the adjoint): lam_t = dL/dh_t + beta*lam_{t+1} is the total derivative of the
+    likelihood in h_t, with its effect on later variances; non-finite ones return (inf, 0).
     """
     c, phi, omega, alpha, r = v.T
     beta = r * (_CAP - alpha)
@@ -208,11 +202,8 @@ def _argarch_objective(v, eps):
 
 
 def _argarch_start(eps: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Moment-based start (c, phi, omega, alpha, r) per row of the (H, n) windows ``eps``.
-
-    phi from the lag-1 autocorrelation, c from the mean, and the GARCH part
-    at (omega, alpha, beta) = (0.1*var, 0.05, 0.9).
-    """
+    """Moment start (c, phi, omega, alpha, r) per row of (H, n) ``eps``: c and phi from the
+    mean and lag-1 autocorrelation, (omega, alpha, beta) = (0.1*var, 0.05, 0.9)."""
     mean = eps.mean(axis=1)
     demeaned = eps - mean[:, None]
     phi = np.clip((demeaned[:, 1:] * demeaned[:, :-1]).sum(axis=1)
@@ -257,11 +248,11 @@ def _bfgs(fun, x0, args, h0, lo, hi):
     inverse Hessian restarts from diag(h0) scaled by s'y/y'diag(h0)y after the
     first step, and from diag(h0) where the direction's cosine with -g is
     1e-12 or less; the update is skipped when s'y <= 1e-10 |s||y|.  A row
-    converges when max |projected gradient| <= _GTOL or a step lowers f by a
-    relative _FTOL or less; it fails when f is not finite at x0, an accepted
-    step or backtracking leaves x unchanged, or at _MAXITER iterations.
-
-    Returns (x, f, converged), with x (k, d) and f and converged (k,).
+    converges when max |projected gradient| <= _GTOL, or when a step not cut
+    at a bound lowers f by a relative _FTOL or less, on a face twice running;
+    it fails when f is not finite at x0, an accepted step or backtracking
+    leaves x unchanged, or at _MAXITER iterations.  Returns (x, f, converged):
+    x (k, d), f and converged (k,).
     """
     x_out = np.clip(np.array(x0, dtype=float), lo, hi)
     k, d = x_out.shape
@@ -276,15 +267,15 @@ def _bfgs(fun, x0, args, h0, lo, hi):
     rows = np.flatnonzero(keep)
     x, f, g, p, slope, step, diag, lo, hi, args = (
         v[keep] for v in (x_out, f_out, g, p, slope, step, diag, lo, hi, args))
-    hinv, nit = diag, np.zeros(rows.size, dtype=int)
+    hinv, nit, quiet = diag, np.zeros(rows.size, dtype=int), np.zeros(rows.size, dtype=bool)
     while rows.size:
         # the step ends where a first coordinate reaches its bound, exactly on it
         with np.errstate(all="ignore"):
             reach = np.where(p < 0.0, (lo - x) / p, np.where(p > 0.0, (hi - x) / p, math.inf))
         step = np.minimum(step, reach.min(axis=1))
         move = step[:, None] * p
-        trial = np.where(reach <= step[:, None], np.where(p < 0.0, lo, hi),
-                         np.clip(x + move, lo, hi))
+        cut = reach <= step[:, None]
+        trial = np.where(cut, np.where(p < 0.0, lo, hi), np.clip(x + move, lo, hi))
         f_new, g_new = fun(trial, args)
         ok = f_new <= f + 1e-4 * step * slope
         with np.errstate(all="ignore"):
@@ -318,7 +309,11 @@ def _bfgs(fun, x0, args, h0, lo, hi):
                     pg, p_new, slope_new = _direction(h, g_new, trial, lo, hi)
                 decrease = (f - f_new) / np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
                 stall = ok & np.all(trial == x, axis=1)  # an accepted step that leaves x
-                done = ok & ~stall & ((np.max(np.abs(pg), axis=1) <= _GTOL) | (decrease <= _FTOL))
+                # small: an uncut step lowers f by relative _FTOL or less; on a face, twice running
+                small = (decrease <= _FTOL) & ~cut.any(axis=1)
+                face = np.any((trial <= lo) | (trial >= hi), axis=1)
+                done = ok & ~stall & ((np.max(np.abs(pg), axis=1) <= _GTOL)
+                                      | (small & (quiet | ~face)))
                 converged[rows[done]] = True
                 finished |= done | stall | (nit >= _MAXITER)
                 # the accepted rows move to the trial point; the others keep their state
@@ -328,24 +323,25 @@ def _bfgs(fun, x0, args, h0, lo, hi):
                 hinv = np.where(ok[:, None, None], h, hinv)
                 p = np.where(ok[:, None], p_new, p)
                 slope = np.where(ok, slope_new, slope)
+                quiet = np.where(ok, small, quiet)
         step = np.where(ok, 1.0, t_back)
         if finished.any():
             x_out[rows[finished]], f_out[rows[finished]] = x[finished], f[finished]
             keep = ~finished
-            rows, x, f, g, p, slope, step, hinv, diag, nit, lo, hi, args = (
-                v[keep] for v in (rows, x, f, g, p, slope, step, hinv, diag, nit, lo, hi, args))
+            state = (rows, x, f, g, p, slope, step, hinv, diag, nit, quiet, lo, hi, args)
+            rows, x, f, g, p, slope, step, hinv, diag, nit, quiet, lo, hi, args = (
+                v[keep] for v in state)
     return x_out, f_out, converged
 
 
 def _search(objective, theta0, rows, h0, lo, hi, seed, what):
     """Minimize ``objective`` for each of the k ``rows`` from (k, d) ``theta0`` in [lo, hi].
 
-    One ``_bfgs`` search runs on all rows; those that do not converge are
-    searched again, together, up to 4 times, each from its lowest point theta
-    plus 0.1 * max(|theta|, 1) * jitter (projected onto its box), the jitters
-    one (4, d) standard normal draw from ``Philox(seed)``.  Returns the
-    lowest points and values, or raises ``FitError`` naming ``what`` and
-    the hours whose 5 searches fail.
+    One ``_bfgs`` search runs on all rows; those that do not converge are searched
+    again, together, up to 4 times, each from its lowest point theta plus
+    0.1 * max(|theta|, 1) * jitter (projected onto its box), the jitters one (4, d)
+    standard normal draw from ``Philox(seed)``.  Returns the lowest points and
+    values, or raises ``FitError`` naming ``what`` and the hours whose 5 searches fail.
     """
     theta, f, converged = _bfgs(objective, theta0, rows, h0, lo, hi)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -377,14 +373,15 @@ def _params(cls, columns, what) -> list:
 
 
 def _fit_argarch(rows: np.ndarray, seed: int) -> list:
-    """Fit AR(1)-GARCH(1,1) by Gaussian QMLE to (H, n) ``rows``, one hour per row.
+    """``ArGarchParams`` by Gaussian QMLE for each of the (H, n) ``rows``, one hour per row.
 
     ``_search`` runs from moment estimates in the box |phi| <= 1 - 1e-12,
     omega >= _OMEGA_FLOOR * var (var the hour's variance), 0 <= alpha <= _CAP
     and 0 <= r = beta / (_CAP - alpha) <= 1, whose faces it reaches in finitely
-    many steps.  An hour ending at alpha = 0 is searched from (omega, alpha,
-    beta) = (0.8 * var, 0.2, 0) on the beta = 0 face, then in the box where
-    that is lower, and keeps the lower NLL.  Returns one ``ArGarchParams`` per row.
+    many steps.  An hour ending at alpha = 0 or above its NLL at (omega, alpha,
+    beta) = (0.8 * var, 0.2, 0) is searched from there on the beta = 0 face,
+    then in the box where that ends lower or at alpha > 0; only a converged box
+    search that ends lower replaces the estimate, as a face point need not be one.
     """
     var = np.var(rows, axis=1)
     lo = np.tile([-math.inf, -1.0 + 1e-12, 0.0, 0.0, 0.0], (len(var), 1))
@@ -394,15 +391,18 @@ def _fit_argarch(rows: np.ndarray, seed: int) -> list:
     h0 = np.column_stack([var, np.ones(len(var)), 0.01 * var * var, np.full((len(var), 2), 0.01)])
     v, f = _search(_argarch_objective, _argarch_start(rows, var), rows, h0, lo, hi, seed,
                    "AR-GARCH QMLE")
-    face = np.flatnonzero(v[:, 3] == 0.0)
-    x = np.column_stack([v[face, :2], 0.8 * var[face], np.full((face.size, 2), [0.2, 0.0])])
-    for beta_face in (True, False):  # on the beta = 0 face, then in the box where lower
-        if face.size:
-            x, f_face, converged = _bfgs(_argarch_objective, x, rows[face], h0[face], lo[face],
-                                         np.where(beta_face & (np.arange(5) == 4), 0.0, hi[face]))
-            lower = converged & (f_face < f[face])
-            face, x = face[lower], x[lower]
-    v[face] = x
+    x = np.column_stack([v[:, :2], 0.8 * var, np.full((len(var), 2), [0.2, 0.0])])
+    again = np.flatnonzero((v[:, 3] == 0.0) | (_argarch_objective(x, rows)[0] < f))
+    if again.size:
+        hi_face = hi[again].copy()
+        hi_face[:, 4] = 0.0
+        x, f_face, converged = _bfgs(_argarch_objective, x[again], rows[again], h0[again],
+                                     lo[again], hi_face)
+        on = converged & ((x[:, 3] > 0.0) | (f_face < f[again]))
+        box = again[on]
+        x, f_box, converged = _bfgs(_argarch_objective, x[on], rows[box], h0[box], lo[box], hi[box])
+        lower = converged & (f_box < f[box])
+        v[box[lower]] = x[lower]
     return _params(ArGarchParams, (*v[:, :4].T, v[:, 4] * (_CAP - v[:, 3])), "AR-GARCH")
 
 

@@ -320,10 +320,10 @@ def test_argarch_restarts_a_stalled_hour_with_bfgs(monkeypatch):
     monkeypatch.setattr(filters, "_bfgs", recording_bfgs)
     monkeypatch.setattr(optimize, "minimize", no_minimize)
     params, _ = fit_filter(window, FilterSpec(AR_GARCH))
-    # the search of all hours, one restart of its unconverged hours, then the
-    # searches of the hours that end at alpha = 0
-    assert 7 in searches[0][1] and searches[1][1] == []
-    assert len(searches[1][0]) == len(searches[0][1])
+    # the search of all hours, one restart of the stalled hour, then the second
+    # start's searches on the beta = 0 face and in the box, which all converge
+    assert [unconverged for _, unconverged in searches] == [[7], [], [], []]
+    assert len(searches[1][0]) == 1
     stalled_nll = searches[0][0][7]
     assert reference_nll(window[:, 7], params[7]) <= stalled_nll + 1e-9
 
