@@ -40,7 +40,7 @@ import numpy as np
 
 from . import copula, filters, forecast, scoring
 from .margins import MarginModel, pit
-from .panel import N_HOURS, HourlyPanel, PanelError, compute_errors, write_rows
+from .panel import HourlyPanel, PanelError, compute_errors, write_count_rows, write_rows
 
 SHUFFLE = "shuffle"
 GAUSSIAN_COPULA = "gaussian"
@@ -203,9 +203,9 @@ class BacktestResult:
         return rows
 
     def rank_histograms(self, setting: str):
-        """Per-hour verification rank histograms plus the average-rank histogram."""
+        """The (H, m+1) per-hour verification rank histograms and the average-rank histogram."""
         ranks = self.scores[setting].ranks
-        return ([scoring.rank_histogram(column, self.m) for column in ranks.T],
+        return (scoring.rank_histogram(ranks, self.m),
                 scoring.average_rank_histogram(ranks.mean(axis=1), self.m))
 
     def write_outputs(self, out_dir, jobs: int = 1) -> None:
@@ -228,21 +228,22 @@ class BacktestResult:
                     for setting, panel in self.scores.items()
                     for date, es, crps in zip(panel.dates, panel.es.tolist(),
                                               panel.daily_crps.tolist())))
-        write_rows(os.path.join(out_dir, "rank_histograms.csv"),
-                   ["setting", "hour", "bin", "count"], self._histogram_rows())
+        blocks = (((setting, hour), counts) for setting in self.scores
+                  for per_hour, avg in [self.rank_histograms(setting)]
+                  for hour, counts in [*enumerate(per_hour.tolist(), 1), ("avg", avg.tolist())])
+        write_count_rows(os.path.join(out_dir, "rank_histograms.csv"),
+                         ["setting", "hour", "bin", "count"], blocks)
         write_rows(os.path.join(out_dir, "dm_tests.csv"),
                    ["setting_a", "setting_b", "metric", "statistic", "p_value"], self.dm_rows())
         skipped_rows = [(s, d.isoformat()) for s, ds in self.skipped.items() for d in ds]
         if skipped_rows:
             write_rows(os.path.join(out_dir, "skipped_days.csv"), ["setting", "date"],
                        skipped_rows)
-
-    def _histogram_rows(self):
-        for setting in self.scores:
-            per_hour, avg = self.rank_histograms(setting)
-            for hour, counts in [*enumerate(per_hour, start=1), ("avg", avg)]:
-                for b, count in enumerate(counts.tolist(), start=1):
-                    yield setting, hour, b, count
+        # an earlier run's file this run would not write; evaluate's result has no forecasts
+        stale = [f"forecasts_{s}.csv" for s in self.skipped.keys() - self.forecasts.keys()]
+        for name in stale + ["skipped_days.csv"] * bool(self.forecasts and not skipped_rows):
+            if os.path.exists(path := os.path.join(out_dir, name)):
+                os.remove(path)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def _fit_block_filters(errors, dates, t0: int, cfg: BacktestConfig):
     start = t0 - cfg.error_window
     for spec in dict.fromkeys(spec for spec, _ in cfg.groups):
         if spec.kind == filters.RAW:
-            fitted[spec] = [None] * N_HOURS
+            fitted[spec] = [None] * errors.shape[1]
             continue
         try:
             fitted[spec], _out = filters.fit_filter(errors[start:t0], spec, seed=cfg.seed)

@@ -3,9 +3,9 @@
 A panel is a T x 24 matrix of finite values indexed by strictly increasing
 ``datetime.date`` dates (not ``datetime``s); no timezone logic lives here.
 
-Every CSV file of the package is written by :func:`write_rows`, or, when no
-cell can need quoting, by :func:`write_number_rows` from numbers or by
-:func:`write_text_rows` from texts made elsewhere (forecast members).  Every
+Every CSV file of the package is written by :func:`write_rows`, :func:`write_count_rows`
+(counts after quoted cells), or, when no cell can need quoting, by :func:`write_number_rows`
+from numbers or :func:`write_text_rows` from texts made elsewhere (forecast members).  Every
 CSV input (panel, forecasts, matrix, load profile) has one check path and two
 parse front ends, joined by :func:`read_checked`: :func:`read_bulk` parses a
 plain file in one ``np.loadtxt`` call, and :func:`walk_bulk` parses any file
@@ -29,6 +29,7 @@ import numpy as np
 
 N_HOURS = 24
 _EOL = "\r\n"  # the csv module's default line end
+_ROWS = csv.writer(type("Echo", (), {"write": str}))  # the one writer; writerow returns text
 
 
 class PanelError(ValueError):
@@ -268,9 +269,7 @@ def write_rows(path, header, rows) -> None:
     text that reads back to the same float.  None is written as an empty cell.
     """
     with open_csv(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(map(_ROWS.writerow, [header, *rows]))
 
 
 def write_number_rows(path, header, blocks) -> None:
@@ -289,11 +288,20 @@ def write_number_rows(path, header, blocks) -> None:
             fh.write("".join([lead + ",".join(map(repr, row)) + _EOL for row in rows]))
 
 
-def write_text_rows(fh, rows) -> None:
-    """Write rows of text cells that need no quoting to ``fh``, in one write.
+def write_count_rows(path, header, blocks) -> None:
+    """:func:`write_rows` of ``header`` and, per ``(lead, counts)``, ``*lead, b, counts[b-1]``."""
+    tails: dict = {}  # len(counts) -> the rows' texts after the lead, which joins them
+    with open_csv(path) as fh:
+        fh.write(_ROWS.writerow(header))
+        for lead, counts in blocks:  # lead cells quoted once, counts Python ints
+            if len(counts) not in tails:
+                tails[len(counts)] = ["", *(f"{b},%d{_EOL}" for b in range(1, len(counts) + 1))]
+            lead = _ROWS.writerow([*lead, "", ""])[:-len(_EOL) - 1].replace("%", "%%")
+            fh.write(lead.join(tails[len(counts)]) % tuple(counts))
 
-    Each row is one join, byte for byte as :func:`write_rows` writes it.
-    """
+
+def write_text_rows(fh, rows) -> None:
+    """Write rows of texts that need no quoting to ``fh`` in one write, as :func:`write_rows`."""
     fh.write("".join([",".join(row) + _EOL for row in rows]))
 
 

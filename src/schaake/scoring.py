@@ -149,11 +149,12 @@ def score_forecasts(forecasts, real) -> ScorePanel:
 
 
 def rank_histogram(ranks, m: int) -> np.ndarray:
-    """Counts of verification ranks over the m+1 possible positions."""
+    """(H, m+1) counts of (T, H) verification ranks over the m+1 positions, in one bincount."""
     ranks = np.asarray(ranks)
-    if np.any((ranks < 1) | (ranks > m + 1)):
-        raise ValueError("ranks must lie in 1..m+1")
-    return np.bincount(ranks - 1, minlength=m + 1)
+    if ranks.ndim != 2 or np.any((ranks < 1) | (ranks > m + 1)):
+        raise ValueError(f"ranks must be (T, H) in 1..m+1, got {ranks.shape}; one hour is (T, 1)")
+    return np.bincount((ranks + np.arange(ranks.shape[1]) * (m + 1) - 1).ravel(),
+                       minlength=ranks.shape[1] * (m + 1)).reshape(-1, m + 1)
 
 
 def average_rank_histogram(avg_ranks, m: int, bins: int = AVG_RANK_BINS) -> np.ndarray:

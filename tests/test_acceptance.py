@@ -106,7 +106,7 @@ def _calibrated_rank_flags(seed, m=90, T=2000, n_hours=24):
     members, truth = draws[:, :m], draws[:, m]
     ranks_1d = 1 + np.count_nonzero(members < truth[:, None], axis=1)
     ranks = np.tile(ranks_1d[:, None], (1, n_hours))
-    flags = [uniformity_check(rank_histogram(ranks[:, h], m)) for h in range(n_hours)]
+    flags = [uniformity_check(counts) for counts in rank_histogram(ranks, m)]
     flags.append(uniformity_check(average_rank_histogram(ranks.mean(axis=1), m)))
     return np.array(flags)
 

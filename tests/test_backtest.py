@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import datetime
+import io
 import json
 import re
 from pathlib import Path
@@ -319,6 +320,65 @@ def test_cli_backtest_writes_setting_whose_every_day_was_skipped(panel_csvs, tmp
         assert capsys.readouterr().err == ""
 
 
+def test_cli_backtest_rerun_removes_the_files_it_would_not_write(panel_csvs, tmp_path, capsys):
+    # a rerun into an out-dir leaves evaluate and slp no forecasts or skipped days of an earlier run
+    out_dir, cfg = tmp_path / "out", tmp_path / "cfg.json"
+
+    def backtest(filters):
+        cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                                   "dependence_window": 40, "filters": filters}))
+        rc = cli.main(["backtest", "--real", str(panel_csvs / "real.csv"),
+                       "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
+                       "--out-dir", str(out_dir), "--settings", "Schaake-NP,Schaake-Raw"])
+        assert rc == 0
+        return capsys.readouterr().out.splitlines()
+
+    backtest({})
+    assert (out_dir / "forecasts_Schaake-NP.csv").exists()
+    assert not (out_dir / "skipped_days.csv").exists()
+    # a seasonal AR with period 60 needs 180 days, more than the 120-day window
+    with pytest.warns(UserWarning, match="seasonal AR needs >= 180"):
+        lines = backtest({"Schaake-NP": {"kind": SARIMA, "seasonal_period": 60}})
+    assert lines[0] == "Schaake-NP: skipped on every day"
+    assert sorted(path.name for path in out_dir.glob("forecasts_*.csv")) == \
+        ["forecasts_Schaake-Raw.csv"]
+    assert len(_rows(out_dir / "skipped_days.csv")) == 6
+    # evaluate writes into the out-dir without removing a backtest's file
+    rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"), "--forecasts",
+                   str(out_dir / "forecasts_Schaake-Raw.csv"), "--out-dir", str(out_dir)])
+    assert rc == 0
+    assert len(_rows(out_dir / "skipped_days.csv")) == 6
+    assert (out_dir / "forecasts_Schaake-Raw.csv").exists()
+    backtest({})
+    assert (out_dir / "forecasts_Schaake-NP.csv").exists()
+    assert not (out_dir / "skipped_days.csv").exists()
+
+
+def test_rank_histograms_csv_matches_counts_of_the_ranks(tmp_path):
+    # an independent rendering: per hour column a bincount, then the binned daily mean rank
+    real, fc = iid_error_panels(127, rho=0.5, seed=8)
+    cfg = small_config(settings=("Schaake-NP", "Schaake-Raw", "I-Raw"), refit_every=7, seed=4)
+    result = run_backtest(real, fc, cfg)
+    m = cfg.m
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["setting", "hour", "bin", "count"])
+    for setting in cfg.settings:
+        ranks = result.scores[setting].ranks
+        assert ranks.shape == (7, 24) and len(np.unique(ranks)) > 10
+        for h in range(24):
+            counts = np.bincount(ranks[:, h], minlength=m + 2)[1:]
+            writer.writerows([setting, h + 1, b, c] for b, c in enumerate(counts.tolist(), 1))
+        avg = np.histogram(ranks.mean(axis=1), bins=10, range=(1, m + 1))[0]
+        writer.writerows([setting, "avg", b, c] for b, c in enumerate(avg.tolist(), 1))
+    result.write_outputs(tmp_path)
+    expected = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+    assert len(expected) == 1 + 3 * (24 * (m + 1) + 10)
+    assert [["setting", "hour", "bin", "count"], *_rows(tmp_path / "rank_histograms.csv")] == \
+        expected
+    assert (tmp_path / "rank_histograms.csv").read_bytes() == buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("drop_from, match", [
     # a date in one panel only
     (("fc",), r"different dates: first only in the realization (\S+); first only in the "
@@ -454,6 +514,26 @@ def test_cli_evaluate_writes_dm_rows_for_files_sharing_one_date(panel_csvs, tmp_
     assert capsys.readouterr().err == ""
     assert _rows(eval_dir / "dm_tests.csv") == [["Schaake-Raw", "I-Raw", metric, "", ""]
                                                 for metric in ("es", "crps")]
+
+
+@pytest.mark.parametrize("label", ['NP, "v2"\r\n\u00e9 ', ""])
+def test_cli_evaluate_quotes_a_label_from_the_file_name(panel_csvs, tmp_path, capsys, label):
+    out_dir = tmp_path / "out"
+    run_backtest(load_panel(panel_csvs / "real.csv"), load_panel(panel_csvs / "fc.csv"),
+                 small_config(settings=("Schaake-Raw",), seed=3)).write_outputs(out_dir)
+    renamed = tmp_path / f"forecasts_{label}.csv"
+    (out_dir / "forecasts_Schaake-Raw.csv").rename(renamed)
+    eval_dir = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"),
+                   "--forecasts", str(renamed), "--out-dir", str(eval_dir)])
+    assert rc == 0
+    capsys.readouterr()
+    # csv.reader reads the label back, and every other cell is the backtest's
+    for name, column in (("scores.csv", 1), ("rank_histograms.csv", 0)):
+        rows, backtest_rows = _rows(eval_dir / name), _rows(out_dir / name)
+        assert {row[column] for row in rows} == {label}
+        assert [row[:column] + row[column + 1:] for row in rows] == \
+            [row[:column] + row[column + 1:] for row in backtest_rows]
 
 
 def test_cli_evaluate_rejects_mixed_member_counts(panel_csvs, tmp_path, capsys):

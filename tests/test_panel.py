@@ -23,6 +23,7 @@ from schaake.panel import (
     load_panel,
     read_matrix_csv,
     save_panel,
+    write_count_rows,
     write_number_rows,
 )
 
@@ -245,6 +246,31 @@ def test_write_number_rows_matches_csv_writer(blocks):
         path = Path(tmp) / "rows.csv"
         write_number_rows(path, header, blocks)
         assert path.read_bytes() == csv_writer_bytes(header, blocks)
+
+
+# setting labels that csv.writer quotes, or that a template could misread
+LABELS = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", " Schaake-NP ", "I-P\u00e9", "\u4e00\u4e8c",
+                     "%", "%d", "%%s", "{}", "a,b\"c\r\nd", "avg"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(st.tuples(st.lists(LABELS | st.integers(-5, 30), max_size=3),
+                                 st.lists(st.integers(0, 10**12), max_size=12)),
+                       max_size=5),
+       header=st.lists(LABELS, min_size=1, max_size=4))
+def test_write_count_rows_matches_csv_writer(blocks, header):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for lead, counts in blocks:
+        writer.writerows([*lead, b, count] for b, count in enumerate(counts, start=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        write_count_rows(path, header, blocks)
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 FLOAT_TEXTS = st.one_of(

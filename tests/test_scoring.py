@@ -201,20 +201,33 @@ def test_verification_ranks_vectorized():
 
 
 def test_rank_histogram_counts():
-    hist = rank_histogram(np.array([1, 1, 3, 91]), m=90)
-    assert hist.size == 91
-    assert hist[0] == 2 and hist[2] == 1 and hist[90] == 1
+    hist = rank_histogram(np.array([[1], [1], [3], [91]]), m=90)
+    assert hist.shape == (1, 91)
+    assert hist[0, 0] == 2 and hist[0, 2] == 1 and hist[0, 90] == 1
     assert hist.sum() == 4
-    with pytest.raises(ValueError):
-        rank_histogram(np.array([0]), m=90)
+    with pytest.raises(ValueError, match="1..m"):
+        rank_histogram(np.array([[0]]), m=90)
+    with pytest.raises(ValueError, match=r"got \(4,\); one hour is \(T, 1\)"):
+        rank_histogram(np.array([1, 1, 3, 91]), m=90)
+
+
+def test_rank_histogram_counts_each_hour_as_its_column_alone():
+    # one bincount over all hours: no rank is counted in a neighbouring hour's row
+    ranks = rng_for(12).integers(1, 5, size=(50, 7))
+    ranks[:, 0], ranks[:, -1] = 1, 4  # the edge bins of the edge hours
+    hist = rank_histogram(ranks, m=3)
+    assert hist.shape == (7, 4)
+    for h in range(7):
+        assert hist[h].tolist() == np.bincount(ranks[:, h] - 1, minlength=4).tolist()
+    assert rank_histogram(np.empty((0, 2), dtype=int), m=3).tolist() == [[0] * 4] * 2
 
 
 def test_uniformity_check_calibrated_vs_biased():
     rng = rng_for(10)
-    ranks = rng.integers(1, 92, size=2000)
-    assert uniformity_check(rank_histogram(ranks, m=90))
+    ranks = rng.integers(1, 92, size=(2000, 1))
+    assert uniformity_check(rank_histogram(ranks, m=90)[0])
     biased = np.clip(ranks, 1, 46)
-    assert not uniformity_check(rank_histogram(biased, m=90))
+    assert not uniformity_check(rank_histogram(biased, m=90)[0])
 
 
 def test_average_rank_histogram_uniform_for_comonotone_hours():
