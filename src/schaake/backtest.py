@@ -239,8 +239,9 @@ class BacktestResult:
         if skipped_rows:
             write_rows(os.path.join(out_dir, "skipped_days.csv"), ["setting", "date"],
                        skipped_rows)
-        # an earlier run's file this run would not write; evaluate's result has no forecasts
-        stale = [f"forecasts_{s}.csv" for s in self.skipped.keys() - self.forecasts.keys()]
+        # an earlier run's file, and its copy, this run would not write; evaluate writes no forecasts
+        stale = [f"forecasts_{s}.csv{copy}" for s in self.skipped.keys() - self.forecasts.keys()
+                 for copy in ("", ".npz")]
         for name in stale + ["skipped_days.csv"] * bool(self.forecasts and not skipped_rows):
             if os.path.exists(path := os.path.join(out_dir, name)):
                 os.remove(path)

@@ -36,8 +36,10 @@ SARIMA = "sarima"
 
 _MIN_ARGARCH_WINDOW = 100
 _ONE = np.ones(1)
-# BFGS stopping rules (see _bfgs); an unconverged hour gets up to _RESTARTS more searches
+# BFGS stopping rules (see _bfgs); an unconverged hour gets up to _RESTARTS more searches,
+# and AR-GARCH's second start searches for at most _MAXITER_AGAIN iterations
 _MAXITER = 500
+_MAXITER_AGAIN = 50
 _GTOL = 1e-8
 _FTOL = 1e-14
 _RESTARTS = 4
@@ -232,7 +234,7 @@ def _direction(h, g, x, lo, hi):
         held = held | new
 
 
-def _bfgs(fun, x0, args, h0, lo, hi):
+def _bfgs(fun, x0, args, h0, lo, hi, maxiter=_MAXITER):
     """Minimize k independent objectives at once by BFGS projected on boxes.
 
     ``fun(x, args)`` takes parameter rows x (j, d) and the matching rows of
@@ -251,7 +253,7 @@ def _bfgs(fun, x0, args, h0, lo, hi):
     converges when max |projected gradient| <= _GTOL, or when a step not cut
     at a bound lowers f by a relative _FTOL or less, on a face twice running;
     it fails when f is not finite at x0, an accepted step or backtracking
-    leaves x unchanged, or at _MAXITER iterations.  Returns (x, f, converged):
+    leaves x unchanged, or at ``maxiter`` iterations.  Returns (x, f, converged):
     x (k, d), f and converged (k,).
     """
     x_out = np.clip(np.array(x0, dtype=float), lo, hi)
@@ -315,7 +317,7 @@ def _bfgs(fun, x0, args, h0, lo, hi):
                 done = ok & ~stall & ((np.max(np.abs(pg), axis=1) <= _GTOL)
                                       | (small & (quiet | ~face)))
                 converged[rows[done]] = True
-                finished |= done | stall | (nit >= _MAXITER)
+                finished |= done | stall | (nit >= maxiter)
                 # the accepted rows move to the trial point; the others keep their state
                 x = np.where(ok[:, None], trial, x)
                 f = np.where(ok, f_new, f)
@@ -380,8 +382,9 @@ def _fit_argarch(rows: np.ndarray, seed: int) -> list:
     and 0 <= r = beta / (_CAP - alpha) <= 1, whose faces it reaches in finitely
     many steps.  An hour ending at alpha = 0 or above its NLL at (omega, alpha,
     beta) = (0.8 * var, 0.2, 0) is searched from there on the beta = 0 face,
-    then in the box where that ends lower or at alpha > 0; only a converged box
-    search that ends lower replaces the estimate, as a face point need not be one.
+    then in the box where that ends lower or at alpha > 0, each search for at
+    most _MAXITER_AGAIN iterations; only a converged box search that ends lower
+    replaces the estimate, as a face point need not be one.
     """
     var = np.var(rows, axis=1)
     lo = np.tile([-math.inf, -1.0 + 1e-12, 0.0, 0.0, 0.0], (len(var), 1))
@@ -397,10 +400,11 @@ def _fit_argarch(rows: np.ndarray, seed: int) -> list:
         hi_face = hi[again].copy()
         hi_face[:, 4] = 0.0
         x, f_face, converged = _bfgs(_argarch_objective, x[again], rows[again], h0[again],
-                                     lo[again], hi_face)
+                                     lo[again], hi_face, _MAXITER_AGAIN)
         on = converged & ((x[:, 3] > 0.0) | (f_face < f[again]))
         box = again[on]
-        x, f_box, converged = _bfgs(_argarch_objective, x[on], rows[box], h0[box], lo[box], hi[box])
+        x, f_box, converged = _bfgs(_argarch_objective, x[on], rows[box], h0[box], lo[box],
+                                    hi[box], _MAXITER_AGAIN)
         lower = converged & (f_box < f[box])
         v[box[lower]] = x[lower]
     return _params(ArGarchParams, (*v[:, :4].T, v[:, 4] * (_CAP - v[:, 3])), "AR-GARCH")

@@ -11,13 +11,18 @@ them by a random rank matrix instead.
 Forecast files are written by :func:`write_forecast_files`.  A Schaake setting
 and its independence counterpart hold the same numbers per day in another
 row order, so the files of such a pair are written together and each day's
-members are formatted once for both.  The CSV dialect is :mod:`.panel`'s.
+members are formatted once for both.  The CSV dialect is :mod:`.panel`'s.  A
+binary copy lies beside each CSV, and is read while it holds the CSV's sha256.
 """
 from __future__ import annotations
 
 import collections
 import contextlib
 import datetime
+import hashlib
+import os
+import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +133,9 @@ def write_forecast_files(files) -> None:
     are held at a time.  A file that :func:`read_forecasts_csv` would refuse,
     one with no forecast, a forecast whose date is not a ``datetime.date``,
     two forecasts of one date or two member shapes, raises ``ValueError``
-    before any file is opened.
+    before any file is opened.  Then each CSV written to a path gets a copy
+    ``<path>.npz``, the bytes ``np.savez`` writes of the ``dates`` as int64
+    ordinals, ascending, their (T, m, H) ``members`` and the CSV's ``sha256``.
     """
     queues = [list(forecasts) for forecasts, _ in files]
     for queue, (_, path) in zip(queues, files):
@@ -161,6 +168,25 @@ def write_forecast_files(files) -> None:
                 if fc.date == date:
                     heads[k] += 1
                     write_text_rows(outs[k], _text_rows(fc, texts))
+    for queue, path in [(queue, path) for queue, (_, path) in zip(queues, files) if path]:
+        queue.sort(key=lambda fc: fc.date)  # the reader's day order
+        dates = np.array([fc.date.toordinal() for fc in queue], dtype=np.int64)
+        head = np.lib.format.header_data_from_array_1_0(queue[0].members)
+        head["shape"] = (len(queue), *head["shape"])
+        with zipfile.ZipFile(f"{path}.npz.tmp", "w") as zf:  # renamed once complete
+            with zf.open("dates.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, dates)
+            with zf.open("members.npy", "w", force_zip64=True) as fh:  # a day at a time
+                np.lib.format.write_array_header_1_0(fh, head)
+                fh.writelines(fc.members for fc in queue)
+            with zf.open("sha256.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.array(_sha256(path)))
+        os.replace(f"{path}.npz.tmp", f"{path}.npz")
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _text_rows(fc: EnsembleForecast, texts: dict) -> list:
@@ -181,12 +207,25 @@ def _text_rows(fc: EnsembleForecast, texts: dict) -> list:
 
 
 def read_forecasts_csv(path) -> list:
-    """Parse a forecasts CSV written by :func:`write_forecasts_csv`.
+    """The forecasts of a CSV ``date,member,h1..hH``, or of its copy while that holds its sha256.
 
-    Every day must hold members 1..m with one m for all days; malformed rows
-    and days raise :class:`PanelError` naming ``path:line`` (of a day's first row),
-    and a file without rows names ``path``.
+    A copy (see :func:`write_forecast_files`) that cannot be read gives a ``UserWarning``.
+    Every day must hold members 1..m with one m for all days; malformed rows and days
+    raise :class:`PanelError` naming ``path:line`` (a day's first row); no rows, ``path``.
     """
+    copy = f"{path}.npz"
+    if os.path.exists(copy):
+        digest = _sha256(path)  # a missing CSV raises here, as the parse would
+        try:  # np.load gives an array, no context manager, for a .npy payload
+            with open(copy, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+                if str(npz["sha256"][()]) == digest:
+                    dates, members = npz["dates"], npz["members"]
+                    if members.ndim != 3 or not members.size or dates.shape != members.shape[:1]:
+                        raise ValueError(f"dates {dates.shape}, members {members.shape}")
+                    return [EnsembleForecast(datetime.date.fromordinal(day), day_members)
+                            for day, day_members in zip(dates.tolist(), members)]
+        except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError, TypeError) as exc:
+            warnings.warn(f"{copy}: unreadable copy, parsing the CSV instead ({exc})")
     return read_checked(path, ("date", "member"), True, _forecasts, empty="no forecasts")
 
 

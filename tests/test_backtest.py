@@ -335,6 +335,7 @@ def test_cli_backtest_rerun_removes_the_files_it_would_not_write(panel_csvs, tmp
 
     backtest({})
     assert (out_dir / "forecasts_Schaake-NP.csv").exists()
+    assert (out_dir / "forecasts_Schaake-NP.csv.npz").exists()
     assert not (out_dir / "skipped_days.csv").exists()
     # a seasonal AR with period 60 needs 180 days, more than the 120-day window
     with pytest.warns(UserWarning, match="seasonal AR needs >= 180"):
@@ -342,6 +343,9 @@ def test_cli_backtest_rerun_removes_the_files_it_would_not_write(panel_csvs, tmp
     assert lines[0] == "Schaake-NP: skipped on every day"
     assert sorted(path.name for path in out_dir.glob("forecasts_*.csv")) == \
         ["forecasts_Schaake-Raw.csv"]
+    # no binary copy is left without its CSV
+    assert sorted(path.name for path in out_dir.glob("forecasts_*.csv.npz")) == \
+        ["forecasts_Schaake-Raw.csv.npz"]
     assert len(_rows(out_dir / "skipped_days.csv")) == 6
     # evaluate writes into the out-dir without removing a backtest's file
     rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"), "--forecasts",
@@ -349,8 +353,10 @@ def test_cli_backtest_rerun_removes_the_files_it_would_not_write(panel_csvs, tmp
     assert rc == 0
     assert len(_rows(out_dir / "skipped_days.csv")) == 6
     assert (out_dir / "forecasts_Schaake-Raw.csv").exists()
+    assert (out_dir / "forecasts_Schaake-Raw.csv.npz").exists()
     backtest({})
     assert (out_dir / "forecasts_Schaake-NP.csv").exists()
+    assert (out_dir / "forecasts_Schaake-NP.csv.npz").exists()
     assert not (out_dir / "skipped_days.csv").exists()
 
 

@@ -1,4 +1,7 @@
 import datetime
+import hashlib
+import io
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -22,7 +25,7 @@ from schaake.forecast import (
     write_forecasts_csv,
 )
 from schaake.margins import MarginModel
-from schaake.panel import PanelError
+from schaake.panel import PanelError, read_checked
 
 TOY_ENSEMBLES = TOY_QUANTILES.T
 
@@ -375,3 +378,133 @@ def test_ensemble_forecast_refuses_bad_members(members, match):
 def test_shuffle_refuses_unsorted_members():
     with pytest.raises(ValueError, match="sorted ascending"):
         shuffle(TOY_ENSEMBLES[::-1], TOY_RANK_MATRIX)
+
+
+COPY_VALUES = MEMBER_VALUES | st.sampled_from([1e308, -1e308, -5e-324])
+
+
+@st.composite
+def forecast_lists(draw):
+    """A forecast file's list: distinct dates in any order, one (m, H) shape, H >= 1."""
+    m, n_hours = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 24]))
+    dates = draw(st.lists(st.dates(datetime.date(1, 1, 1), datetime.date(9999, 12, 31)),
+                          min_size=1, max_size=4, unique=True))
+    return [EnsembleForecast(date, np.reshape(draw(st.lists(
+        COPY_VALUES, min_size=m * n_hours, max_size=m * n_hours)), (m, n_hours)))
+            for date in dates]
+
+
+def read_outcome(path):
+    """``read_forecasts_csv(path)`` as (dates, members bytes), or the exception's type and text."""
+    try:
+        fcs = read_forecasts_csv(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is any exception
+        return type(exc), str(exc)
+    return [fc.date for fc in fcs], [(fc.members.shape, fc.members.tobytes()) for fc in fcs]
+
+
+def parsed_outcome(path):
+    """:func:`read_outcome` with the CSV parsed, the copy set aside."""
+    copy = Path(f"{path}.npz")
+    kept = copy.read_bytes()
+    copy.unlink()
+    try:
+        return read_outcome(path)
+    finally:
+        copy.write_bytes(kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forecasts=forecast_lists(), edit=st.tuples(st.floats(0, 1, exclude_max=True),
+                                                  st.integers(1, 255)),
+       damage=st.one_of(st.floats(0, 1, exclude_max=True), st.binary(max_size=64)))
+@example(forecasts=[EnsembleForecast(DAY.replace(day=2), [[-0.0, 5e-324]]),
+                    EnsembleForecast(DAY, [[1e308, -1e308]])],
+         edit=(0.5, 1), damage=0.0)
+def test_forecast_copy_reads_as_its_csv_until_either_changes(forecasts, edit, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "forecasts_X.csv"
+        copy = Path(f"{path}.npz")
+        write_forecast_files([(forecasts, path)])
+        assert sorted(p.name for p in Path(tmp).iterdir()) == [path.name, copy.name]
+        # the copy gives the parse's dates and bitwise members, which are the writer's
+        ordered = sorted(forecasts, key=lambda fc: fc.date)
+        expected = ([fc.date for fc in ordered],
+                    [(fc.members.shape, fc.members.tobytes()) for fc in ordered])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecast, "read_checked", None)  # reading the copy parses nothing
+            assert read_outcome(path) == expected
+        assert parsed_outcome(path) == expected
+        # a CSV changed in one byte is parsed: the same forecasts or the same refusal
+        text = path.read_bytes()
+        at, delta = int(edit[0] * len(text)), edit[1]
+        path.write_bytes(text[:at] + bytes([(text[at] + delta) % 256]) + text[at + 1:])
+        parses = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecast, "read_checked",
+                       lambda *args, **kw: parses.append(1) or read_checked(*args, **kw))
+            outcome = read_outcome(path)
+        assert parses and outcome == parsed_outcome(path)
+        path.write_bytes(text)
+        # a truncated or garbage copy warns, and the CSV is parsed
+        kept = copy.read_bytes()
+        copy.write_bytes(kept[:int(damage * len(kept))] if isinstance(damage, float) else damage)
+        with pytest.warns(UserWarning, match="unreadable copy"):
+            assert read_outcome(path) == expected
+        # a copy without its CSV is never read
+        copy.write_bytes(kept)
+        path.unlink()
+        missing = read_outcome(path)
+        copy.unlink()
+        assert missing == read_outcome(path) and missing[0] is FileNotFoundError
+
+
+def _copy_holding(path, npy=False, **arrays):
+    """A copy of ``path`` holding ``arrays``, the CSV's sha256 among them unless given.
+
+    With ``npy`` the copy is an ``.npy`` file of one array.
+    """
+    arrays.setdefault("sha256", np.array(forecast._sha256(path)))
+    with open(f"{path}.npz", "wb") as fh:
+        np.save(fh, np.arange(3)) if npy else np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda path: _copy_holding(path, dates=np.array([DAY.toordinal()])),  # no members
+    lambda path: _copy_holding(path, dates=np.array([DAY.toordinal()] * 2),
+                               members=np.ones((1, 2, 1))),
+    lambda path: _copy_holding(path, dates=np.array([DAY.toordinal()]), members=np.ones((2, 1))),
+    lambda path: _copy_holding(path, dates=np.zeros(0, dtype=np.int64),
+                               members=np.ones((0, 2, 1))),
+    lambda path: _copy_holding(path, dates=np.array([0]), members=np.ones((1, 2, 1))),
+    lambda path: _copy_holding(path, dates=np.array([DAY.toordinal()]),
+                               members=np.full((1, 2, 1), np.nan)),
+    lambda path: _copy_holding(path, npy=True),
+    lambda path: Path(f"{path}.npz").write_bytes(pickle.dumps([1.0])),
+    lambda path: Path(f"{path}.npz").mkdir(),
+], ids=["no-members", "dates-longer", "members-2d", "no-days", "ordinal-0", "nan", "npy",
+        "pickle", "directory"])
+def test_read_forecasts_csv_warns_of_a_copy_it_cannot_read(tmp_path, spoil):
+    path = tmp_path / "fc.csv"
+    fcs = [EnsembleForecast(DAY, [[1.0], [2.0]])]
+    write_forecasts_csv(fcs, path)
+    Path(f"{path}.npz").unlink()
+    spoil(path)
+    with pytest.warns(UserWarning, match=r"fc\.csv\.npz: unreadable copy"):
+        again = read_forecasts_csv(path)
+    assert [fc.members.tolist() for fc in again] == [[[1.0], [2.0]]]
+
+
+def test_forecast_copy_is_what_savez_writes(tmp_path):
+    # written a day at a time under a temporary name, which is gone, and replaced by a rewrite
+    path = tmp_path / "fc.csv"
+    write_forecasts_csv([EnsembleForecast(DAY, [[1.0]])], path)
+    later = DAY.replace(day=2)
+    members = rng_for(11).standard_normal((2, 3, 4))
+    write_forecasts_csv([EnsembleForecast(later, members[1]), EnsembleForecast(DAY, members[0])],
+                        path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fc.csv", "fc.csv.npz"]
+    savez = io.BytesIO()
+    np.savez(savez, dates=np.array([DAY.toordinal(), later.toordinal()]), members=members,
+             sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest()))
+    assert Path(f"{path}.npz").read_bytes() == savez.getvalue()

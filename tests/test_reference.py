@@ -188,3 +188,16 @@ def test_argarch_fits_take_few_objective_calls(kind, monkeypatch):
         calls.clear()
         filters.fit_filter(_window(kind, seed), FilterSpec(AR_GARCH))
         assert len(calls) <= MAX_CALLS[kind], (kind, seed, len(calls))
+
+
+def test_argarch_second_search_is_budgeted(monkeypatch):
+    # iid window 2000: the second search of a few alpha = 0 hours crawled along
+    # a flat ridge (612 objective calls in all, hour 8 alone 504) before its
+    # searches were held to _MAXITER_AGAIN iterations (173 calls)
+    objective, calls = filters._argarch_objective, []
+    monkeypatch.setattr(filters, "_argarch_objective",
+                        lambda v, eps: calls.append(len(v)) or objective(v, eps))
+    window = _window("iid", 2000)
+    params, out = filters.fit_filter(window, FilterSpec(AR_GARCH))
+    assert len(calls) <= MAX_CALLS["iid"]
+    assert foc_violations(window, params, out) == []
