@@ -39,7 +39,7 @@ _ONE = np.ones(1)
 # BFGS stopping rules (see _bfgs); an unconverged hour gets up to _RESTARTS more searches,
 # and AR-GARCH's second start searches for at most _MAXITER_AGAIN iterations
 _MAXITER = 500
-_MAXITER_AGAIN = 50
+_MAXITER_AGAIN = 100
 _GTOL = 1e-8
 _FTOL = 1e-14
 _RESTARTS = 4

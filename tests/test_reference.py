@@ -193,7 +193,7 @@ def test_argarch_fits_take_few_objective_calls(kind, monkeypatch):
 def test_argarch_second_search_is_budgeted(monkeypatch):
     # iid window 2000: the second search of a few alpha = 0 hours crawled along
     # a flat ridge (612 objective calls in all, hour 8 alone 504) before its
-    # searches were held to _MAXITER_AGAIN iterations (173 calls)
+    # searches were held to _MAXITER_AGAIN iterations (212 calls)
     objective, calls = filters._argarch_objective, []
     monkeypatch.setattr(filters, "_argarch_objective",
                         lambda v, eps: calls.append(len(v)) or objective(v, eps))
@@ -201,3 +201,13 @@ def test_argarch_second_search_is_budgeted(monkeypatch):
     params, out = filters.fit_filter(window, FilterSpec(AR_GARCH))
     assert len(calls) <= MAX_CALLS["iid"]
     assert foc_violations(window, params, out) == []
+
+
+def test_argarch_second_search_reaches_an_interior_optimum():
+    # hour 9 of the second 25-day block of an iid benchmark panel: the first search
+    # ends on the alpha = 0, beta -> 1 ridge, and the box search reaches the interior
+    # optimum (alpha 0.014, beta 0.31, 2.1e-5 nat/obs lower) after more than 50 iterations
+    window = (3.0 * equicorrelated_normals(414, 0.6, 6000))[25:389, 8:9]
+    [params], out = filters.fit_filter(window, FilterSpec(AR_GARCH), seed=6)
+    assert params.alpha > 0.01 and 0.2 < params.beta < 0.4
+    assert foc_violations(window, [params], out) == []
