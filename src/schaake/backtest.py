@@ -28,6 +28,7 @@ their per-hour CRPS panels agree bitwise.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import datetime
 import hashlib
 import json
@@ -239,12 +240,12 @@ class BacktestResult:
         if skipped_rows:
             write_rows(os.path.join(out_dir, "skipped_days.csv"), ["setting", "date"],
                        skipped_rows)
-        # an earlier run's file, and its copy, this run would not write; evaluate writes no forecasts
-        stale = [f"forecasts_{s}.csv{copy}" for s in self.skipped.keys() - self.forecasts.keys()
-                 for copy in ("", ".npz")]
-        for name in stale + ["skipped_days.csv"] * bool(self.forecasts and not skipped_rows):
-            if os.path.exists(path := os.path.join(out_dir, name)):
-                os.remove(path)
+        # an earlier run's files this run would not write; evaluate's result has no forecasts
+        for setting in self.skipped.keys() - self.forecasts.keys():
+            forecast.remove_forecast_files(os.path.join(out_dir, f"forecasts_{setting}.csv"))
+        if self.forecasts and not skipped_rows:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "skipped_days.csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,12 @@ def write_forecast_files(files) -> None:
         if len(shapes) > 1:
             raise ValueError(f"{path}: forecasts of one file must share one (m, H) member "
                              f"shape, got {shapes}")
+    digests = [hashlib.sha256() for _ in files]  # of the bytes written, for the copies
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(open_csv(path)) for _, path in files]
-        for fh, queue in zip(outs, queues):
-            write_text_rows(fh, [["date", "member", *hour_names(queue[0].members.shape[1])]])
+        for fh, queue, digest in zip(outs, queues, digests):
+            digest.update(write_text_rows(
+                fh, [["date", "member", *hour_names(queue[0].members.shape[1])]]).encode())
         heads = [0] * len(queues)
         while True:
             step = [(k, queue[heads[k]]) for k, queue in enumerate(queues)
@@ -167,8 +169,10 @@ def write_forecast_files(files) -> None:
             for k, fc in step:
                 if fc.date == date:
                     heads[k] += 1
-                    write_text_rows(outs[k], _text_rows(fc, texts))
-    for queue, path in [(queue, path) for queue, (_, path) in zip(queues, files) if path]:
+                    digests[k].update(write_text_rows(outs[k], _text_rows(fc, texts)).encode())
+    for queue, (_, path), digest in zip(queues, files, digests):
+        if path is None:
+            continue
         queue.sort(key=lambda fc: fc.date)  # the reader's day order
         dates = np.array([fc.date.toordinal() for fc in queue], dtype=np.int64)
         head = np.lib.format.header_data_from_array_1_0(queue[0].members)
@@ -180,13 +184,15 @@ def write_forecast_files(files) -> None:
                 np.lib.format.write_array_header_1_0(fh, head)
                 fh.writelines(fc.members for fc in queue)
             with zf.open("sha256.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.array(_sha256(path)))
+                np.lib.format.write_array(fh, np.array(digest.hexdigest()))
         os.replace(f"{path}.npz.tmp", f"{path}.npz")
 
 
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+def remove_forecast_files(path) -> None:
+    """Remove the forecast CSV ``path`` and its copy, each if it exists."""
+    for name in (path, f"{path}.npz"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(name)
 
 
 def _text_rows(fc: EnsembleForecast, texts: dict) -> list:
@@ -215,7 +221,8 @@ def read_forecasts_csv(path) -> list:
     """
     copy = f"{path}.npz"
     if os.path.exists(copy):
-        digest = _sha256(path)  # a missing CSV raises here, as the parse would
+        with open(path, "rb") as fh:  # a missing CSV raises here, as the parse would
+            digest = hashlib.sha256(fh.read()).hexdigest()
         try:  # np.load gives an array, no context manager, for a .npy payload
             with open(copy, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
                 if str(npz["sha256"][()]) == digest:

@@ -300,9 +300,13 @@ def write_count_rows(path, header, blocks) -> None:
             fh.write(lead.join(tails[len(counts)]) % tuple(counts))
 
 
-def write_text_rows(fh, rows) -> None:
-    """Write rows of texts that need no quoting to ``fh`` in one write, as :func:`write_rows`."""
-    fh.write("".join([",".join(row) + _EOL for row in rows]))
+def write_text_rows(fh, rows) -> str:
+    """Write rows of texts that need no quoting to ``fh`` in one write, as :func:`write_rows`.
+
+    Returns the text written.
+    """
+    fh.write(text := "".join([",".join(row) + _EOL for row in rows]))
+    return text
 
 
 def parse_cell(parse, text, what: str, path, lineno: int):

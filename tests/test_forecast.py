@@ -464,7 +464,7 @@ def _copy_holding(path, npy=False, **arrays):
 
     With ``npy`` the copy is an ``.npy`` file of one array.
     """
-    arrays.setdefault("sha256", np.array(forecast._sha256(path)))
+    arrays.setdefault("sha256", np.array(hashlib.sha256(path.read_bytes()).hexdigest()))
     with open(f"{path}.npz", "wb") as fh:
         np.save(fh, np.arange(3)) if npy else np.savez(fh, **arrays)
 
