@@ -28,7 +28,6 @@ their per-hour CRPS panels agree bitwise.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import datetime
 import hashlib
 import json
@@ -210,20 +209,31 @@ class BacktestResult:
                 scoring.average_rank_histogram(ranks.mean(axis=1), self.m))
 
     def write_outputs(self, out_dir, jobs: int = 1) -> None:
-        """Write the forecast, score, rank-histogram, DM and skipped-day CSVs.
+        """Write a backtest's out-dir files, the same set on every run.
 
-        The forecast files are written one task per Schaake/independence pair
-        (settings that share filter and margin kind), both files of a pair by
-        one :func:`forecast.write_forecast_files` call, which formats each of
-        the pair's days once.  With ``jobs > 1`` the tasks run on up to that
-        many processes; the bytes do not depend on ``jobs``.
+        These are the tables of :meth:`write_scores`, ``skipped_days.csv`` (only
+        its header when no day was skipped), and ``forecasts_<setting>.csv`` and
+        its copy for each setting that forecast; those of every other setting of
+        ``SETTING_TABLE`` are removed, and no other file is touched.  The forecast
+        files are written one task per Schaake/independence pair (settings that
+        share filter and margin kind) by :func:`forecast.write_forecast_files`,
+        which formats each of the pair's days once.  With ``jobs > 1`` the tasks
+        run on up to that many processes; the bytes do not depend on ``jobs``.
         """
-        os.makedirs(out_dir, exist_ok=True)
+        self.write_scores(out_dir)
         pairs: dict = {}  # (filter kind, margin kind) -> [(forecasts, path)]
         for setting, fcs in self.forecasts.items():
             pairs.setdefault(SETTING_TABLE[setting][:2], []).append(
                 (fcs, os.path.join(out_dir, f"forecasts_{setting}.csv")))
         _map(forecast.write_forecast_files, list(pairs.values()), jobs)
+        for setting in SETTING_TABLE.keys() - self.forecasts.keys():
+            forecast.remove_forecast_files(os.path.join(out_dir, f"forecasts_{setting}.csv"))
+        write_rows(os.path.join(out_dir, "skipped_days.csv"), ["setting", "date"],
+                   [(s, d.isoformat()) for s, ds in self.skipped.items() for d in ds])
+
+    def write_scores(self, out_dir) -> None:
+        """Write ``scores.csv``, ``rank_histograms.csv`` and ``dm_tests.csv``, as evaluate does."""
+        os.makedirs(out_dir, exist_ok=True)
         write_rows(os.path.join(out_dir, "scores.csv"), ["date", "setting", "es", "crps_mean"],
                    ([date.isoformat(), setting, es, crps]
                     for setting, panel in self.scores.items()
@@ -236,16 +246,6 @@ class BacktestResult:
                          ["setting", "hour", "bin", "count"], blocks)
         write_rows(os.path.join(out_dir, "dm_tests.csv"),
                    ["setting_a", "setting_b", "metric", "statistic", "p_value"], self.dm_rows())
-        skipped_rows = [(s, d.isoformat()) for s, ds in self.skipped.items() for d in ds]
-        if skipped_rows:
-            write_rows(os.path.join(out_dir, "skipped_days.csv"), ["setting", "date"],
-                       skipped_rows)
-        # an earlier run's files this run would not write; evaluate's result has no forecasts
-        for setting in self.skipped.keys() - self.forecasts.keys():
-            forecast.remove_forecast_files(os.path.join(out_dir, f"forecasts_{setting}.csv"))
-        if self.forecasts and not skipped_rows:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, "skipped_days.csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,8 @@ def _cmd_evaluate(args) -> int:
             scores[_setting_label(path)] = scoring.score_forecasts(fcs, real)
         except PanelError as exc:
             raise PanelError(f"{path}: {exc}") from None
-    result = bt.BacktestResult(m=m, forecasts={}, scores=scores, skipped={})
-    # reuse the backtest writers, minus the (unmodified) forecast CSVs; DM tests
-    # pair each two files on the dates both cover
-    result.write_outputs(args.out_dir)
+    # the backtest's score tables; DM tests pair each two files on the dates both cover
+    bt.BacktestResult(m=m, forecasts={}, scores=scores, skipped={}).write_scores(args.out_dir)
     for name, panel in scores.items():
         print(f"{name}: mean ES {panel.mean_es:.4f}, mean CRPS {panel.mean_crps:.4f}")
     return 0
@@ -193,7 +191,7 @@ def main(argv=None) -> int:
         labels[label] = path
     try:
         return _COMMANDS[args.command](args)
-    except (PanelError, copula.CopulaError, bt.ConfigError, FileNotFoundError, ValueError) as exc:
+    except (PanelError, copula.CopulaError, bt.ConfigError, OSError, ValueError) as exc:
         print(f"schaake: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,13 @@ import datetime
 import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _simulate import equicorrelated_normals, iid_error_panels, panels_from_errors
 from test_copula import BAD_MATRIX_FILES
@@ -324,19 +327,19 @@ def test_cli_backtest_rerun_removes_the_files_it_would_not_write(panel_csvs, tmp
     # a rerun into an out-dir leaves evaluate and slp no forecasts or skipped days of an earlier run
     out_dir, cfg = tmp_path / "out", tmp_path / "cfg.json"
 
-    def backtest(filters):
+    def backtest(filters, names="Schaake-NP,Schaake-Raw"):
         cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
                                    "dependence_window": 40, "filters": filters}))
         rc = cli.main(["backtest", "--real", str(panel_csvs / "real.csv"),
                        "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
-                       "--out-dir", str(out_dir), "--settings", "Schaake-NP,Schaake-Raw"])
+                       "--out-dir", str(out_dir), "--settings", names])
         assert rc == 0
         return capsys.readouterr().out.splitlines()
 
     backtest({})
     assert (out_dir / "forecasts_Schaake-NP.csv").exists()
     assert (out_dir / "forecasts_Schaake-NP.csv.npz").exists()
-    assert not (out_dir / "skipped_days.csv").exists()
+    assert (out_dir / "skipped_days.csv").read_bytes() == b"setting,date\r\n"
     # a seasonal AR with period 60 needs 180 days, more than the 120-day window
     with pytest.warns(UserWarning, match="seasonal AR needs >= 180"):
         lines = backtest({"Schaake-NP": {"kind": SARIMA, "seasonal_period": 60}})
@@ -347,17 +350,23 @@ def test_cli_backtest_rerun_removes_the_files_it_would_not_write(panel_csvs, tmp
     assert sorted(path.name for path in out_dir.glob("forecasts_*.csv.npz")) == \
         ["forecasts_Schaake-Raw.csv.npz"]
     assert len(_rows(out_dir / "skipped_days.csv")) == 6
-    # evaluate writes into the out-dir without removing a backtest's file
+    # evaluate writes only its score tables into the out-dir, and removes no backtest file
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
     rc = cli.main(["evaluate", "--real", str(panel_csvs / "real.csv"), "--forecasts",
                    str(out_dir / "forecasts_Schaake-Raw.csv"), "--out-dir", str(out_dir)])
     assert rc == 0
-    assert len(_rows(out_dir / "skipped_days.csv")) == 6
-    assert (out_dir / "forecasts_Schaake-Raw.csv").exists()
-    assert (out_dir / "forecasts_Schaake-Raw.csv.npz").exists()
+    after = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    for name in ("scores.csv", "rank_histograms.csv", "dm_tests.csv"):
+        del before[name], after[name]
+    assert after == before and "skipped_days.csv" in after
     backtest({})
     assert (out_dir / "forecasts_Schaake-NP.csv").exists()
     assert (out_dir / "forecasts_Schaake-NP.csv.npz").exists()
-    assert not (out_dir / "skipped_days.csv").exists()
+    assert (out_dir / "skipped_days.csv").read_bytes() == b"setting,date\r\n"
+    # a rerun with fewer settings removes the files of the setting it dropped
+    backtest({}, names="Schaake-Raw")
+    assert sorted(path.name for path in out_dir.glob("forecasts_*")) == \
+        ["forecasts_Schaake-Raw.csv", "forecasts_Schaake-Raw.csv.npz"]
 
 
 def test_rank_histograms_csv_matches_counts_of_the_ranks(tmp_path):
@@ -626,6 +635,46 @@ def test_write_outputs_writes_one_task_per_pair(monkeypatch, tmp_path, settings,
     assert [{Path(path).name for _, path in task} for task in tasks] == files
 
 
+# out-dir names a backtest does not own, though they look like its own
+FOREIGN_NAMES = ["forecasts_schaake-np.csv", "forecasts_Schaake-NP.csv.bak",
+                 "forecasts_Schaake-NP.npz", "forecasts_Schaake-NP", "forecasts_.csv",
+                 "notes.txt"]
+SETTING_NAMES = st.sampled_from(list(SETTING_TABLE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(forecasting=st.sets(SETTING_NAMES), earlier=st.sets(SETTING_NAMES),
+       skipped=st.dictionaries(SETTING_NAMES, st.sets(st.integers(1, 9), min_size=1)),
+       others=st.sets(st.text("I-NPRaw.", min_size=1, max_size=6).filter(
+           lambda x: x not in SETTING_TABLE), max_size=3),
+       content=st.binary(max_size=8))
+def test_write_outputs_touches_no_file_it_does_not_own(forecasting, earlier, skipped, others,
+                                                       content):
+    foreign = FOREIGN_NAMES + [f"forecasts_{x}.csv" for x in others] + \
+        [f"forecasts_{x}.csv.npz" for x in others]
+    day = [EnsembleForecast(datetime.date(2020, 1, 1), np.arange(48.0).reshape(2, 24))]
+    skipped = {s: {datetime.date(2020, 1, d): "reason" for d in days}
+               for s, days in skipped.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        for i, name in enumerate(foreign):
+            (out_dir / name).write_bytes(content + bytes([i]))
+        for name in earlier:  # an earlier run's forecast files
+            for path in (f"forecasts_{name}.csv", f"forecasts_{name}.csv.npz"):
+                (out_dir / path).write_bytes(b"old")
+        backtest.BacktestResult(m=2, forecasts={s: day for s in forecasting}, scores={},
+                                skipped=skipped).write_outputs(out_dir)
+        for i, name in enumerate(foreign):
+            assert (out_dir / name).read_bytes() == content + bytes([i])
+        owned = {"scores.csv", "rank_histograms.csv", "dm_tests.csv", "skipped_days.csv",
+                 *(f"forecasts_{s}.csv{ext}" for s in forecasting for ext in ("", ".npz"))}
+        assert {path.name for path in out_dir.iterdir()} == owned | set(foreign)
+        assert _rows(out_dir / "skipped_days.csv") == \
+            [[s, d.isoformat()] for s, days in skipped.items() for d in days]
+        for name in forecasting:
+            assert read_forecasts_csv(out_dir / f"forecasts_{name}.csv")[0].date == day[0].date
+
+
 def test_backtest_formats_each_pair_day_once(monkeypatch, tmp_path):
     real, fc = iid_error_panels(126, rho=0.5, seed=21)
     seasonal = FilterSpec(SARIMA, seasonal_period=7)
@@ -891,7 +940,7 @@ def test_cli_shuffle_names_line_of_bad_ensemble_row(tmp_path, capsys, text, matc
     assert re.search(r"ens\.csv" + match, capsys.readouterr().err)
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(panel_csvs, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["backtest"])  # missing required arguments
     assert exc.value.code == 1
@@ -900,3 +949,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                    "--forecasts", str(missing), "--out-dir", str(tmp_path)])
     assert rc == 2
     capsys.readouterr()
+    # an unreadable or unwritable path is a data error naming it
+    a_file, cfg = tmp_path / "a_file", tmp_path / "cfg.json"
+    a_file.write_text("")
+    cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                               "dependence_window": 40, "settings": ["I-Raw"]}))
+    for argv, path in (
+            (["evaluate", "--real", str(tmp_path), "--forecasts", str(missing),
+              "--out-dir", str(tmp_path / "eval")], tmp_path),
+            (["backtest", "--real", str(panel_csvs / "real.csv"), "--forecast",
+              str(panel_csvs / "fc.csv"), "--config", str(cfg), "--out-dir", str(a_file)],
+             a_file)):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schaake: data error: ") and str(path) in err

@@ -1,10 +1,12 @@
 """The package root exports exactly the names the README's Library section names."""
 import re
+import sys
 from pathlib import Path
 
 import schaake
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_names_are_exported():
@@ -44,3 +46,12 @@ def test_the_scalar_reference_imports_nothing_from_schaake():
     imports = re.findall(r"^\s*(?:import|from)\s+([\w.]+)", source, re.M)
     assert imports and not [name for name in imports if name.split(".")[0] == "schaake"]
     assert "schaake" not in re.sub(r"#.*|\"\"\"[\s\S]*?\"\"\"", "", source)
+
+
+def test_one_python_floor_and_the_interpreter_meets_it():
+    # the accepted date cells ("20200102", "2020-W01-1") depend on the interpreter's fromisoformat
+    floor = re.findall(r"Requires Python (\d+)\.(\d+)\+", README.read_text(encoding="utf-8"))
+    assert len(floor) == 1 and sys.version_info >= tuple(map(int, floor[0]))
+    import tomllib  # Python 3.11+, so after the check above
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["requires-python"] == ">={}.{}".format(*floor[0])
