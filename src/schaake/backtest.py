@@ -34,7 +34,7 @@ import json
 import numbers
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,6 +99,8 @@ class BacktestConfig:
             if type(getattr(self, key)) not in (type(None), datetime.date):  # nor a datetime
                 raise ConfigError(f"{key} must be a datetime.date, got {getattr(self, key)!r}")
         object.__setattr__(self, "settings", tuple(dict.fromkeys(self.settings)))
+        if not self.settings:
+            raise ConfigError("settings must name at least one setting")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.dependence_window < 2:
@@ -152,8 +154,7 @@ class BacktestConfig:
                     overrides[name] = filters.FilterSpec(**spec)
                 except ValueError as exc:
                     raise ConfigError(f"filters.{name}: {exc}") from None
-            unknown = set(raw) - {"error_window", "margin_window", "dependence_window",
-                                  "settings", "seed", "eval_start", "eval_end", "refit_every"}
+            unknown = set(raw) - {f.name for f in fields(cls) if f.init} - {"filter_overrides"}
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             for key in ("eval_start", "eval_end"):
@@ -176,42 +177,10 @@ class BacktestResult:
     scores: dict             # setting -> ScorePanel
     skipped: dict            # setting -> {skipped date: reason}
 
-    def dm_rows(self) -> list:
-        """Pairwise DM tests on daily ES and daily mean CRPS.
-
-        Days skipped for either setting of a pair are excluded pairwise.
-        Returns rows (setting_a, setting_b, metric, statistic, p_value);
-        statistic and p are None when the score series coincide or the pair
-        shares fewer than two scored days.
-        """
-        rows = []
-        names = [s for s in self.scores]
-        index = {s: {d: i for i, d in enumerate(self.scores[s].dates)} for s in names}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                common = sorted(index[a].keys() & index[b].keys())
-                ia = [index[a][d] for d in common]
-                ib = [index[b][d] for d in common]
-                for metric, sa, sb in (
-                        ("es", self.scores[a].es, self.scores[b].es),
-                        ("crps", self.scores[a].daily_crps, self.scores[b].daily_crps)):
-                    try:
-                        stat, p = scoring.dm_test(sa[ia], sb[ib])
-                    except scoring.DegenerateScoreDifference:
-                        stat, p = None, None
-                    rows.append((a, b, metric, stat, p))
-        return rows
-
-    def rank_histograms(self, setting: str):
-        """The (H, m+1) per-hour verification rank histograms and the average-rank histogram."""
-        ranks = self.scores[setting].ranks
-        return (scoring.rank_histogram(ranks, self.m),
-                scoring.average_rank_histogram(ranks.mean(axis=1), self.m))
-
     def write_outputs(self, out_dir, jobs: int = 1) -> None:
         """Write a backtest's out-dir files, the same set on every run.
 
-        These are the tables of :meth:`write_scores`, ``skipped_days.csv`` (only
+        These are the tables of :func:`write_scores`, ``skipped_days.csv`` (only
         its header when no day was skipped), and ``forecasts_<setting>.csv`` and
         its copy for each setting that forecast; those of every other setting of
         ``SETTING_TABLE`` are removed, and no other file is touched.  The forecast
@@ -220,7 +189,7 @@ class BacktestResult:
         which formats each of the pair's days once.  With ``jobs > 1`` the tasks
         run on up to that many processes; the bytes do not depend on ``jobs``.
         """
-        self.write_scores(out_dir)
+        write_scores(out_dir, self.scores, self.m)
         pairs: dict = {}  # (filter kind, margin kind) -> [(forecasts, path)]
         for setting, fcs in self.forecasts.items():
             pairs.setdefault(SETTING_TABLE[setting][:2], []).append(
@@ -231,21 +200,53 @@ class BacktestResult:
         write_rows(os.path.join(out_dir, "skipped_days.csv"), ["setting", "date"],
                    [(s, d.isoformat()) for s, ds in self.skipped.items() for d in ds])
 
-    def write_scores(self, out_dir) -> None:
-        """Write ``scores.csv``, ``rank_histograms.csv`` and ``dm_tests.csv``, as evaluate does."""
-        os.makedirs(out_dir, exist_ok=True)
-        write_rows(os.path.join(out_dir, "scores.csv"), ["date", "setting", "es", "crps_mean"],
-                   ([date.isoformat(), setting, es, crps]
-                    for setting, panel in self.scores.items()
-                    for date, es, crps in zip(panel.dates, panel.es.tolist(),
-                                              panel.daily_crps.tolist())))
-        blocks = (((setting, hour), counts) for setting in self.scores
-                  for per_hour, avg in [self.rank_histograms(setting)]
-                  for hour, counts in [*enumerate(per_hour.tolist(), 1), ("avg", avg.tolist())])
-        write_count_rows(os.path.join(out_dir, "rank_histograms.csv"),
-                         ["setting", "hour", "bin", "count"], blocks)
-        write_rows(os.path.join(out_dir, "dm_tests.csv"),
-                   ["setting_a", "setting_b", "metric", "statistic", "p_value"], self.dm_rows())
+
+def dm_rows(scores) -> list:
+    """Pairwise DM tests on daily ES and daily mean CRPS of ``scores``, setting -> ScorePanel.
+
+    Days skipped for either setting of a pair are excluded pairwise.
+    Returns rows (setting_a, setting_b, metric, statistic, p_value);
+    statistic and p are None when the score series coincide or the pair
+    shares fewer than two scored days.
+    """
+    rows = []
+    names = list(scores)
+    index = {s: {d: i for i, d in enumerate(scores[s].dates)} for s in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            common = sorted(index[a].keys() & index[b].keys())
+            ia = [index[a][d] for d in common]
+            ib = [index[b][d] for d in common]
+            for metric, sa, sb in (("es", scores[a].es, scores[b].es),
+                                   ("crps", scores[a].daily_crps, scores[b].daily_crps)):
+                try:
+                    stat, p = scoring.dm_test(sa[ia], sb[ib])
+                except scoring.DegenerateScoreDifference:
+                    stat, p = None, None
+                rows.append((a, b, metric, stat, p))
+    return rows
+
+
+def write_scores(out_dir, scores, m: int) -> None:
+    """Write ``scores.csv``, ``rank_histograms.csv`` and ``dm_tests.csv`` of m-member ``scores``.
+
+    ``rank_histograms.csv`` holds each setting's (H, m+1) per-hour verification
+    rank histograms, then its average-rank histogram as hour ``avg``.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    write_rows(os.path.join(out_dir, "scores.csv"), ["date", "setting", "es", "crps_mean"],
+               ([date.isoformat(), setting, es, crps]
+                for setting, panel in scores.items()
+                for date, es, crps in zip(panel.dates, panel.es.tolist(),
+                                          panel.daily_crps.tolist())))
+    blocks = (((setting, hour), counts) for setting, panel in scores.items()
+              for hour, counts in [
+                  *enumerate(scoring.rank_histogram(panel.ranks, m).tolist(), 1),
+                  ("avg", scoring.average_rank_histogram(panel.ranks.mean(axis=1), m).tolist())])
+    write_count_rows(os.path.join(out_dir, "rank_histograms.csv"),
+                     ["setting", "hour", "bin", "count"], blocks)
+    write_rows(os.path.join(out_dir, "dm_tests.csv"),
+               ["setting_a", "setting_b", "metric", "statistic", "p_value"], dm_rows(scores))
 
 
 # ---------------------------------------------------------------------------

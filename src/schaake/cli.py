@@ -18,8 +18,8 @@ import numpy as np
 
 from . import backtest as bt
 from . import copula, forecast, loadprofile, scoring
-from .panel import (PanelError, hour_names, load_panel, read_matrix_csv, write_number_rows,
-                    write_rows)
+from .panel import (PanelError, hour_names, load_panel, open_csv, read_matrix_csv, write_rows,
+                    write_text_rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +134,7 @@ def _cmd_evaluate(args) -> int:
         except PanelError as exc:
             raise PanelError(f"{path}: {exc}") from None
     # the backtest's score tables; DM tests pair each two files on the dates both cover
-    bt.BacktestResult(m=m, forecasts={}, scores=scores, skipped={}).write_scores(args.out_dir)
+    bt.write_scores(args.out_dir, scores, m)
     for name, panel in scores.items():
         print(f"{name}: mean ES {panel.mean_es:.4f}, mean CRPS {panel.mean_crps:.4f}")
     return 0
@@ -144,7 +144,9 @@ def _cmd_shuffle(args) -> int:
     members = read_matrix_csv(args.ensembles)
     ranks = copula.read_rank_matrix_csv(args.rank_matrix)
     fc = forecast.shuffle(members, ranks)
-    write_number_rows(args.out, hour_names(fc.members.shape[1]), [(None, fc.members.tolist())])
+    with open_csv(args.out) as fh:
+        write_text_rows(fh, [hour_names(fc.members.shape[1]),
+                             *(map(repr, row) for row in fc.members.tolist())])
     return 0
 
 

@@ -4,8 +4,8 @@ A panel is a T x 24 matrix of finite values indexed by strictly increasing
 ``datetime.date`` dates (not ``datetime``s); no timezone logic lives here.
 
 Every CSV file of the package is written by :func:`write_rows`, :func:`write_count_rows`
-(counts after quoted cells), or, when no cell can need quoting, by :func:`write_number_rows`
-from numbers or :func:`write_text_rows` from texts made elsewhere (forecast members).  Every
+(counts after quoted cells), or, when no cell can need quoting, by :func:`write_text_rows`
+from texts made elsewhere (the ``repr`` of numbers: panel cells, forecast members).  Every
 CSV input (panel, forecasts, matrix, load profile) has one check path and two
 parse front ends, joined by :func:`read_checked`: :func:`read_bulk` parses a
 plain file in one ``np.loadtxt`` call, and :func:`walk_bulk` parses any file
@@ -272,22 +272,6 @@ def write_rows(path, header, rows) -> None:
         fh.writelines(map(_ROWS.writerow, [header, *rows]))
 
 
-def write_number_rows(path, header, blocks) -> None:
-    """Write ``header`` and blocks of number rows, byte for byte as :func:`write_rows`.
-
-    ``blocks`` yields ``(date, rows)``: every row, a sequence of Python ints and
-    floats, is written after ``date`` in ISO form, or alone when ``date`` is
-    None.  None of these cells can need quoting, so every row is one join of
-    ``repr`` texts and every block one write, about half the time
-    ``csv.writer`` takes.
-    """
-    with open_csv(path) as fh:
-        write_text_rows(fh, [header])
-        for date, rows in blocks:
-            lead = "" if date is None else date.isoformat() + ","
-            fh.write("".join([lead + ",".join(map(repr, row)) + _EOL for row in rows]))
-
-
 def write_count_rows(path, header, blocks) -> None:
     """:func:`write_rows` of ``header`` and, per ``(lead, counts)``, ``*lead, b, counts[b-1]``."""
     tails: dict = {}  # len(counts) -> the rows' texts after the lead, which joins them
@@ -366,9 +350,12 @@ def _panel_cells(rows, complete: bool):
 
 def save_panel(panel: HourlyPanel, path) -> None:
     """Serialize a panel to the long CSV format accepted by :func:`load_panel`."""
-    write_number_rows(path, ["date", "hour", "value"],
-                      ((date, enumerate(day, start=1))
-                       for date, day in zip(panel.dates, panel.values.tolist())))
+    with open_csv(path) as fh:
+        write_text_rows(fh, [["date", "hour", "value"],
+                             *((date, str(hour), repr(value))
+                               for date, day in zip(map(datetime.date.isoformat, panel.dates),
+                                                    panel.values.tolist())
+                               for hour, value in enumerate(day, start=1))])
 
 
 def compute_errors(real: HourlyPanel, fc: HourlyPanel) -> HourlyPanel:

@@ -157,23 +157,23 @@ def rank_histogram(ranks, m: int) -> np.ndarray:
                        minlength=ranks.shape[1] * (m + 1)).reshape(-1, m + 1)
 
 
-def average_rank_histogram(avg_ranks, m: int, bins: int = AVG_RANK_BINS) -> np.ndarray:
-    """Counts of daily average ranks over equal-width bins on [1, m+1]."""
-    return np.histogram(np.asarray(avg_ranks, dtype=float), bins=bins, range=(1.0, m + 1.0))[0]
+def average_rank_histogram(avg_ranks, m: int) -> np.ndarray:
+    """Counts of daily average ranks over ``AVG_RANK_BINS`` equal-width bins on [1, m+1]."""
+    return np.histogram(avg_ranks, bins=AVG_RANK_BINS, range=(1.0, m + 1.0))[0]
 
 
-def uniformity_check(counts, alpha: float = 0.01) -> bool:
+def uniformity_check(counts) -> bool:
     """Chi-square consistency of histogram ``counts`` with uniform bin occupancy.
 
-    Passes when the statistic stays below the (1 - alpha) quantile of the
-    chi-square distribution with k-1 degrees of freedom.
+    Passes when the statistic stays below the 0.99 quantile (alpha = 0.01) of
+    the chi-square distribution with k-1 degrees of freedom.
     """
     counts = np.asarray(counts)
     expected = counts.sum() / counts.size
     if expected <= 0:
         raise ValueError("empty histogram")
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    return stat < chi2.ppf(1.0 - alpha, counts.size - 1)
+    return stat < chi2.ppf(0.99, counts.size - 1)
 
 
 def interval_coverage(daily_samples, realized, nominal: float) -> float:

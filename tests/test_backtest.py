@@ -73,8 +73,11 @@ def test_config_validation():
         BacktestConfig(refit_every=0)
     with pytest.raises(ConfigError, match="margin"):
         BacktestConfig(error_window=50, margin_window=90)
-    # a setting named twice runs once
+    # a setting named twice runs once, and a run names at least one
     assert BacktestConfig(settings=["I-Raw", "I-NP", "I-Raw"]).settings == ("I-Raw", "I-NP")
+    for empty in ((), []):
+        with pytest.raises(ConfigError, match="^settings must name at least one setting$"):
+            BacktestConfig(settings=empty)
     for windows in ({"margin_window": 0}, {"error_window": 0}):
         with pytest.raises(ConfigError, match="window lengths must be positive"):
             BacktestConfig(**windows)
@@ -209,7 +212,8 @@ def test_dm_rows_flag_identical_series():
     real, fc = iid_error_panels(127, rho=0.5, seed=8)
     cfg = small_config(settings=("Schaake-Raw", "I-Raw"))
     result = run_backtest(real, fc, cfg)
-    rows = {(a, b, metric): (stat, p) for a, b, metric, stat, p in result.dm_rows()}
+    rows = {(a, b, metric): (stat, p) for a, b, metric, stat, p in
+            backtest.dm_rows(result.scores)}
     stat, p = rows[("Schaake-Raw", "I-Raw", "crps")]
     assert stat is None and p is None  # shared margins make the CRPS identical
     stat, p = rows[("Schaake-Raw", "I-Raw", "es")]
@@ -278,6 +282,7 @@ def test_cli_backtest_and_evaluate(panel_csvs, tmp_path, capsys):
     ({"error_window": "120"}, "error_window"),
     ({"refit_every": 2.5}, "refit_every"),
     ({"settings": "I-Raw"}, "settings"),
+    ({"settings": []}, "settings"),
     ({"seed": -1}, "seed"),
     ({"eval_start": "2015-13-01"}, "eval_start"),
 ])
@@ -291,6 +296,20 @@ def test_cli_backtest_rejects_bad_config(panel_csvs, tmp_path, capsys, config, k
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"schaake: data error: {cfg}: ") and key in err
+
+
+def test_cli_backtest_empty_settings_option_keeps_the_configured_settings(panel_csvs, tmp_path,
+                                                                          capsys):
+    # an empty --settings overrides nothing; an empty "settings" in the config is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_window": 120, "margin_window": 40,
+                               "dependence_window": 40, "settings": ["I-Raw"]}))
+    rc = cli.main(["backtest", "--real", str(panel_csvs / "real.csv"),
+                   "--forecast", str(panel_csvs / "fc.csv"), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out"), "--settings", ""])
+    assert rc == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("I-Raw: mean ES ")
 
 
 def test_cli_backtest_writes_setting_whose_every_day_was_skipped(panel_csvs, tmp_path, capsys):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import datetime
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,10 +22,11 @@ from schaake.panel import (
     PanelError,
     compute_errors,
     load_panel,
+    open_csv,
     read_matrix_csv,
     save_panel,
     write_count_rows,
-    write_number_rows,
+    write_text_rows,
 )
 
 
@@ -240,12 +242,29 @@ def csv_writer_bytes(header, blocks) -> bytes:
                                  st.lists(st.lists(NUMBERS, min_size=1, max_size=6),
                                           max_size=4)),
                        max_size=4))
-def test_write_number_rows_matches_csv_writer(blocks):
+def test_write_text_rows_of_reprs_matches_csv_writer(blocks):
     header = ["date", "member", "h1"]
+    rows = [([] if date is None else [date.isoformat()]) + list(map(repr, row))
+            for date, block in blocks for row in block]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
-        write_number_rows(path, header, blocks)
+        with open_csv(path) as fh:
+            write_text_rows(fh, [header, *rows])
         assert path.read_bytes() == csv_writer_bytes(header, blocks)
+
+
+@settings(max_examples=50, deadline=None)
+@given(start=st.dates(max_value=datetime.date(9000, 1, 1)),
+       days=st.lists(st.lists(NUMBERS.map(float).filter(math.isfinite),
+                              min_size=N_HOURS, max_size=N_HOURS), min_size=1, max_size=3))
+def test_save_panel_matches_csv_writer(start, days):
+    dates = [start + datetime.timedelta(days=i) for i in range(len(days))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        save_panel(HourlyPanel(dates, days), path)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["date", "hour", "value"],
+            [(date, enumerate(day, start=1)) for date, day in zip(dates, days)])
 
 
 # setting labels that csv.writer quotes, or that a template could misread
